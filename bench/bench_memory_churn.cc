@@ -154,29 +154,6 @@ churnTable()
                   fc::Table::num(pooled_warm.ms),
                   std::to_string(kReps)});
 
-    // fp16 warm: the fp16 end-to-end mode holds the same guarantee —
-    // its HalfTensor intermediates live in workspace slots and reuse
-    // capacity exactly like the fp32 tensors they shadow.
-    fc::nn::BackendOptions fp16_backend = value_backend;
-    fp16_backend.precision = fc::nn::Precision::Fp16;
-    fc::core::Workspace fp16_ws;
-    fc::nn::InferenceResult fp16_out;
-    network.run(scene, fp16_backend, fp16_ws, fp16_out);
-    fp16_ws.reset();
-    network.run(scene, fp16_backend, fp16_ws, fp16_out);
-    const Sample fp16_warm = measure(
-        [&] {
-            fp16_ws.reset();
-            network.run(scene, fp16_backend, fp16_ws, fp16_out);
-            benchmark::DoNotOptimize(
-                fp16_out.embedding.data().data());
-        },
-        kReps);
-    table.addRow({"infer-ws-warm-fp16",
-                  std::to_string(fp16_warm.allocs),
-                  fc::Table::num(fp16_warm.ms),
-                  std::to_string(kReps)});
-
     // Serve warm: pooled workspaces; only the result payload (and the
     // ticket bookkeeping) allocates per request.
     fc::serve::ServeOptions serve_options;
@@ -241,10 +218,6 @@ churnTable()
                     "%llu allocations per request (expected 0)\n",
                     static_cast<unsigned long long>(
                         pooled_warm.allocs));
-    if (fp16_warm.allocs != 0)
-        std::printf("WARNING: fp16 warm workspace path performed "
-                    "%llu allocations per request (expected 0)\n",
-                    static_cast<unsigned long long>(fp16_warm.allocs));
     if (serve_pooled.allocs != 0) {
         // Hard gate: the pooled-outcome serve path is advertised as
         // allocation-free; a regression here fails the perf-smoke CI

@@ -7,8 +7,8 @@
  *
  *   - single-cloud mode: one FractalCloudPipeline (partition + sample
  *     + group + gather), intra-cloud block parallelism only, and
- *   - batch mode: FractalCloudPipeline::runBatch over a batch of
- *     clouds, one cloud per work item (the serving shape).
+ *   - batch mode: serve::runBatch over a batch of clouds, one cloud
+ *     per work item (the serving shape).
  *
  * The determinism tests guarantee every row computes bit-identical
  * results; this table shows what the threads buy. Speedups are
@@ -21,6 +21,7 @@
 
 #include "bench_common.h"
 #include "core/pipeline.h"
+#include "serve/run_batch.h"
 
 namespace {
 
@@ -103,7 +104,7 @@ scalingTable()
 
         const double batch_s = bestSeconds(
             [&] {
-                const auto results = fc::FractalCloudPipeline::runBatch(
+                const auto results = fc::serve::runBatch(
                     batch, options(threads), request);
                 benchmark::DoNotOptimize(results.data());
             },

@@ -18,16 +18,15 @@
  *     hardware, queue contention drops and p99 tightens; a 1-core
  *     container honestly reports ~flat.
  *
- * Two locality-ablation configs ride along at the widest shard
- * count: workers unpinned (pin_shards=false) and workspace pools
- * collapsed onto shard 0 (shard_local_workspaces=false), isolating
- * what NUMA pinning and shard-local pools buy on the same workload.
+ * A locality-ablation config rides along at the widest shard count:
+ * workers unpinned (pin_shards=false), isolating what NUMA pinning
+ * buys on the same workload.
  *
- * Results are byte-identical at every shard count and in every
+ * Results are byte-identical at every shard count and in the
  * ablation config — the sharded determinism tests enforce it — so the
  * table measures pure placement/scheduling effect. The CSV is gated
- * by scripts/check_bench_csv.sh in the Release perf-smoke CI step (15
- * rows: (3 shard counts + 2 ablations) x 3 classes); the numbers
+ * by scripts/check_bench_csv.sh in the Release perf-smoke CI step (12
+ * rows: (3 shard counts + 1 ablation) x 3 classes); the numbers
  * themselves are hardware-bound and only uploaded as artifacts.
  */
 
@@ -86,15 +85,13 @@ struct ClassMeasurement
 ClassMeasurement
 measureShards(unsigned num_shards,
               const std::vector<fc::data::PointCloud> &clouds,
-              bool pin_shards = true,
-              bool shard_local_workspaces = true)
+              bool pin_shards = true)
 {
     fc::serve::ServeOptions options;
     options.pipeline.num_threads = kThreadsPerShard;
     options.num_shards = num_shards;
     options.queue_capacity = 64;
     options.pin_shards = pin_shards;
-    options.shard_local_workspaces = shard_local_workspaces;
     fc::serve::AsyncPipeline server(options);
 
     ClassMeasurement measurement;
@@ -160,22 +157,15 @@ shardTable()
     }
 
     // Locality ablation at the widest shard count: the same workload
-    // with worker pinning off, and with the per-shard workspace pools
-    // collapsed onto shard 0. Results stay byte-identical in every
-    // configuration (the locality tests enforce it); the delta these
-    // rows show is pure placement effect — on single-node or 1-core
-    // hardware an honest ~flat, on multi-socket hardware the cost of
-    // cross-node traffic.
+    // with worker pinning off. Results stay byte-identical (the
+    // locality tests enforce it); the delta these rows show is pure
+    // placement effect — on single-node or 1-core hardware an honest
+    // ~flat, on multi-socket hardware the cost of cross-node traffic.
     const unsigned ablate_shards =
         kShardCounts[std::size(kShardCounts) - 1];
-    ClassMeasurement nopin = measureShards(
-        ablate_shards, clouds, /*pin_shards=*/false,
-        /*shard_local_workspaces=*/true);
+    ClassMeasurement nopin =
+        measureShards(ablate_shards, clouds, /*pin_shards=*/false);
     addRows(std::to_string(ablate_shards) + "/nopin", nopin);
-    ClassMeasurement shared_ws = measureShards(
-        ablate_shards, clouds, /*pin_shards=*/true,
-        /*shard_local_workspaces=*/false);
-    addRows(std::to_string(ablate_shards) + "/shared-ws", shared_ws);
     fcb::emit(table, "bench_shard_scaling",
               "Sharded serving latency per priority class, " +
                   std::to_string(kThreadsPerShard) +

@@ -6,8 +6,7 @@
  * Each kernel row times the same workload twice — once with the
  * dispatch level forced to Scalar, once at the best level the machine
  * supports — and prints both times plus the speedup. The end-to-end
- * rows contrast the Mixed and Fp16 inference modes at the default
- * level.
+ * row times one warm inference at the default level.
  *
  * CI contract (Release perf-smoke): the CSV shape is gated by
  * scripts/check_bench_csv.sh, and when the AVX2 kernels are active
@@ -149,8 +148,8 @@ simdTable()
         kReps);
     add_row("distance2-range", screen);
 
-    // LinearRelu, fp32 storage: the per-row dot kernel under its real
-    // caller (weights quantized, activations fp16-rounded).
+    // LinearRelu: the per-row dot kernel under its real caller
+    // (weights quantized, activations fp16-rounded).
     const fc::nn::LinearRelu layer(kDotDim, kDotDim, 7);
     fc::nn::Tensor x(kDotRows, kDotDim);
     for (std::size_t r = 0; r < kDotRows; ++r)
@@ -165,17 +164,6 @@ simdTable()
         },
         kReps);
     add_row("linear-relu-fp32", linear);
-
-    // LinearRelu, fp16 storage (the Precision::Fp16 inner loop).
-    fc::nn::HalfTensor hx, hy;
-    fc::nn::toHalf(x, nullptr, hx);
-    const KernelTiming linear_fp16 = timeBothLevels(
-        [&] {
-            layer.forward(hx, nullptr, hy);
-            benchmark::DoNotOptimize(hy.data().data());
-        },
-        kReps);
-    add_row("linear-relu-fp16", linear_fp16);
 
     // Interpolation blend (axpy).
     std::vector<float> blend_src(n, 0.5f), blend_dst(n, 0.0f);
@@ -202,32 +190,25 @@ simdTable()
         kReps);
     add_row("fp16-round", rounding);
 
-    // End to end: Mixed vs Fp16 at the machine's default level (the
-    // two must be bit-identical; the delta is pure bandwidth).
+    // End to end: one warm inference at the machine's default level.
     if (simd::avx2Available())
         simd::setActiveLevel(simd::Level::Avx2);
     const fc::data::PointCloud &scene = fcb::scene(4096);
     const fc::nn::Network network(fc::nn::pointNet2SemSeg(), 42);
-    for (const auto &[label, precision] :
-         {std::pair{"e2e-mixed", fc::nn::Precision::Mixed},
-          std::pair{"e2e-fp16", fc::nn::Precision::Fp16}}) {
-        fc::nn::BackendOptions backend;
-        backend.method = fc::part::Method::Fractal;
-        backend.precision = precision;
-        fc::core::Workspace ws;
-        fc::nn::InferenceResult out;
-        network.run(scene, backend, ws, out); // warm the workspace
-        const double ms = bestMs(
-            [&] {
-                ws.reset();
-                network.run(scene, backend, ws, out);
-                benchmark::DoNotOptimize(
-                    out.embedding.data().data());
-            },
-            3);
-        table.addRow({label, "-", fc::Table::num(ms), "-",
-                      simd::levelName(simd::activeLevel())});
-    }
+    fc::nn::BackendOptions backend;
+    backend.method = fc::part::Method::Fractal;
+    fc::core::Workspace ws;
+    fc::nn::InferenceResult out;
+    network.run(scene, backend, ws, out); // warm the workspace
+    const double e2e_ms = bestMs(
+        [&] {
+            ws.reset();
+            network.run(scene, backend, ws, out);
+            benchmark::DoNotOptimize(out.embedding.data().data());
+        },
+        3);
+    table.addRow({"e2e-mixed", "-", fc::Table::num(e2e_ms), "-",
+                  simd::levelName(simd::activeLevel())});
 
     fcb::emit(table, "bench_simd_kernels",
               "SIMD kernel layer: scalar vs dispatched (" +

@@ -32,6 +32,7 @@
 #include "ops/quality.h"
 #include "serve/async_pipeline.h"
 #include "serve/ingest.h"
+#include "serve/run_batch.h"
 #include "serve/stats.h"
 #include "storage/fcpc_reader.h"
 #include "storage/fcpc_writer.h"
@@ -115,7 +116,7 @@ main()
     request.radius = 0.2f;
     request.neighbors = 32;
     const std::vector<BatchResult> results =
-        FractalCloudPipeline::runBatch(batch, options, request);
+        serve::runBatch(batch, options, request);
     for (std::size_t i = 0; i < results.size(); ++i)
         std::printf("batch cloud %zu: %zu blocks, %zu samples, "
                     "%zu gathered values\n",
@@ -253,26 +254,11 @@ main()
                 serve::stateName(fg_outcome.state), fg_outcome.shard);
 
     // 11. The SIMD kernel layer: runtime dispatch (AVX2 vs scalar;
-    // force scalar with FC_FORCE_SCALAR=1) and the fp16 end-to-end
-    // mode, bit-identical to Mixed (docs/ARCHITECTURE.md,
-    // invariant 1).
+    // force scalar with FC_FORCE_SCALAR=1).
     std::printf("simd: avx2 %s, active level %s\n",
                 core::simd::avx2Available() ? "available"
                                             : "unavailable",
                 core::simd::levelName(core::simd::activeLevel()));
-
-    nn::BackendOptions fp16_backend = sequential_backend;
-    fp16_backend.precision = nn::Precision::Fp16;
-    const nn::InferenceResult half_run =
-        network.run(scene, fp16_backend);
-    const bool fp16_identical =
-        half_run.point_features.data() ==
-            sequential.point_features.data() &&
-        half_run.embedding.data() == sequential.embedding.data();
-    std::printf("fp16 mode: [%zu x %zu] features, vs mixed %s\n",
-                half_run.point_features.rows(),
-                half_run.point_features.cols(),
-                fp16_identical ? "bit-identical" : "DIVERGED (bug!)");
 
     // 12. Observability: the metrics registry and the /stats export
     // (full instrument table in docs/SERVING.md).

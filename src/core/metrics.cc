@@ -69,10 +69,12 @@ Histogram::percentile(double q) const
     std::uint64_t seen = 0;
     for (unsigned i = 0; i < kBuckets; ++i) {
         seen += buckets_[i].load(std::memory_order_relaxed);
+        // A bucket's upper bound can exceed every value recorded in
+        // it; no quantile may report more than the observed max.
         if (seen >= rank)
-            return bucketUpperBound(i);
+            return std::min(bucketUpperBound(i), max());
     }
-    return bucketUpperBound(kBuckets - 1); // unreachable
+    return max(); // unreachable
 }
 
 void

@@ -233,10 +233,10 @@ class Histogram
 
     /**
      * Value at quantile @p q in [0, 1]: the upper bound of the bucket
-     * containing the ceil(q * count)-th recorded value (0 when
-     * empty). Accurate to the ~25% bucket resolution, which is what a
-     * latency SLO check needs; exact ranks would require storing
-     * samples.
+     * containing the ceil(q * count)-th recorded value, clamped to
+     * max() (0 when empty). Accurate to the ~25% bucket resolution,
+     * which is what a latency SLO check needs; exact ranks would
+     * require storing samples.
      */
     std::uint64_t percentile(double q) const;
 

@@ -4,9 +4,8 @@
 
 // Layering note: this file must not reach up into serve/ — the core
 // library is a standalone CMake target the serving layer links
-// against, never the reverse. The blocking runBatch wrapper (which
-// rides the async serving path) therefore lives in
-// serve/run_batch.cc, inside the fc_serve target.
+// against, never the reverse. The blocking batch wrapper
+// (serve::runBatch) therefore lives in the fc_serve target.
 
 namespace fc {
 

@@ -17,10 +17,10 @@
  * sized by PipelineOptions::num_threads, and every result is
  * bit-identical to the sequential path (num_threads = 1).
  *
- * For serving-shaped workloads, runBatch() processes many clouds
- * concurrently over one shared pool; it is the blocking wrapper
- * around the asynchronous submit/poll frontend in
- * serve/async_pipeline.h.
+ * BatchRequest and BatchResult describe one request of the serving
+ * layer (serve/run_batch.h for the blocking batch call,
+ * serve/async_pipeline.h for submit/poll); they live here so that
+ * core-only consumers can name them without linking fc_serve.
  *
  * See examples/quickstart.cpp for a guided tour.
  */
@@ -67,7 +67,7 @@ struct PipelineOptions
     unsigned num_threads = 0;
 };
 
-/** One request of the batched entry point. */
+/** One request of the serving layer (see file comment). */
 struct BatchRequest
 {
     /** Block-wise FPS rate for the sampling stage. */
@@ -99,7 +99,7 @@ struct BatchRequest
     nn::Aggregation aggregation = nn::Aggregation::Eager;
 };
 
-/** Per-cloud output of FractalCloudPipeline::runBatch. */
+/** Per-cloud output of one serving request. */
 struct BatchResult
 {
     ops::BlockSampleResult sampled;
@@ -184,30 +184,6 @@ class FractalCloudPipeline
      * accelerator (cycle-level model, Table II configuration).
      */
     accel::RunReport estimate(const nn::ModelConfig &model) const;
-
-    /**
-     * Batched, serving-shaped entry point: partition + sample +
-     * group + gather every cloud over one pool sized by
-     * options.num_threads. Implemented as a blocking wrapper around
-     * serve::AsyncPipeline: each cloud is one FIFO-dispatched
-     * request, and the work-conserving scheduler spills intra-cloud
-     * block items into idle pool slots when in-flight requests
-     * number fewer than threads (e.g. the tail of a batch). Output
-     * order matches input order and every per-cloud result is
-     * bit-identical to constructing a sequential pipeline for that
-     * cloud. For non-blocking submit/poll with deadlines,
-     * cancellation, shards, and priority classes, use
-     * serve::AsyncPipeline directly.
-     *
-     * Layering: declared here because batching belongs to the core
-     * API surface, but DEFINED in the fc_serve library
-     * (serve/run_batch.cc) — the wrapper rides the async serving
-     * path, and core never links upward. Link fc_serve to use it.
-     */
-    static std::vector<BatchResult>
-    runBatch(const std::vector<data::PointCloud> &clouds,
-             const PipelineOptions &options = {},
-             const BatchRequest &request = {});
 
   private:
     data::PointCloud cloud_;

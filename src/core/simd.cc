@@ -74,16 +74,6 @@ dotAccScalar(float init, const float *a, const float *b, std::size_t n)
     return acc;
 }
 
-float
-dotAccFp16Scalar(float init, const std::uint16_t *a,
-                 const std::uint16_t *b, std::size_t n)
-{
-    float acc = init;
-    for (std::size_t i = 0; i < n; ++i)
-        acc += fp16BitsToFp32(a[i]) * fp16BitsToFp32(b[i]);
-    return acc;
-}
-
 void
 axpyScalar(float a, const float *x, float *y, std::size_t n)
 {
@@ -98,24 +88,9 @@ fp16RoundScalar(float *values, std::size_t n)
         values[i] = fp16Round(values[i]);
 }
 
-void
-fp32ToFp16Scalar(const float *src, std::uint16_t *dst, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        dst[i] = fp32ToFp16Bits(src[i]);
-}
-
-void
-fp16ToFp32Scalar(const std::uint16_t *src, float *dst, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        dst[i] = fp16BitsToFp32(src[i]);
-}
-
 constexpr detail::Kernels kScalarKernels = {
-    &fpsUpdateScalar,  &distance2RangeScalar, &dotAccScalar,
-    &dotAccFp16Scalar, &axpyScalar,           &fp16RoundScalar,
-    &fp32ToFp16Scalar, &fp16ToFp32Scalar,
+    &fpsUpdateScalar, &distance2RangeScalar, &dotAccScalar,
+    &axpyScalar,      &fp16RoundScalar,
 };
 
 const detail::Kernels *
@@ -213,13 +188,6 @@ dotAcc(float init, const float *a, const float *b, std::size_t n)
     return detail::active().dot_acc(init, a, b, n);
 }
 
-float
-dotAccFp16(float init, const std::uint16_t *a, const std::uint16_t *b,
-           std::size_t n)
-{
-    return detail::active().dot_acc_fp16(init, a, b, n);
-}
-
 void
 axpy(float a, const float *x, float *y, std::size_t n)
 {
@@ -230,18 +198,6 @@ void
 fp16RoundBuffer(float *values, std::size_t n)
 {
     detail::active().fp16_round(values, n);
-}
-
-void
-fp32ToFp16Buffer(const float *src, std::uint16_t *dst, std::size_t n)
-{
-    detail::active().fp32_to_fp16(src, dst, n);
-}
-
-void
-fp16ToFp32Buffer(const std::uint16_t *src, float *dst, std::size_t n)
-{
-    detail::active().fp16_to_fp32(src, dst, n);
 }
 
 } // namespace fc::core::simd

@@ -53,15 +53,6 @@ class LinearRelu
     void forward(const Tensor &x, core::ThreadPool *pool,
                  Tensor &out) const;
 
-    /**
-     * fp16-storage overload (Precision::Fp16): activations stay in
-     * binary16 end to end, accumulation in fp32 via the shared
-     * core::simd dot scheme — bit-identical activations to the fp32-
-     * storage path at either dispatch level, half the bandwidth.
-     */
-    void forward(const HalfTensor &x, core::ThreadPool *pool,
-                 HalfTensor &out) const;
-
     std::size_t inDim() const { return in_; }
     std::size_t outDim() const { return out_; }
 
@@ -77,9 +68,6 @@ class LinearRelu
     std::size_t out_;
     bool relu_;
     Tensor weights_; // [out x in], fp16-rounded
-    // Same weights as binary16 bits (exact conversion — weights_ is
-    // already fp16-valued) for the fp16-storage forward.
-    std::vector<std::uint16_t> weights_fp16_;
     std::vector<float> bias_;
 };
 
@@ -109,11 +97,6 @@ class Mlp
      */
     void forward(const Tensor &x, core::ThreadPool *pool,
                  core::Workspace &ws, Tensor &out) const;
-
-    /** fp16-storage overload; ping-pongs through the
-     *  "mlp.hping"/"mlp.hpong" workspace slots. */
-    void forward(const HalfTensor &x, core::ThreadPool *pool,
-                 core::Workspace &ws, HalfTensor &out) const;
 
     std::size_t inDim() const;
     std::size_t outDim() const;

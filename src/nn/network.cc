@@ -160,23 +160,6 @@ Network::run(const data::PointCloud &cloud,
     const bool use_blocks = backend.anyBlockOp();
     const bool delayed = backend.aggregation == Aggregation::Delayed;
 
-    // One MLP application in the selected precision. Every input is
-    // fp16-valued by construction (quantizeFp16 before SA/FP calls;
-    // head inputs are max-pools or MLP outputs of fp16-rounded
-    // values), so the Fp16 mode's conversions are exact and the two
-    // modes match bit for bit at a given simd dispatch level.
-    HalfTensor &hin = ws.slot<HalfTensor>("nn.hin");
-    HalfTensor &hout = ws.slot<HalfTensor>("nn.hout");
-    const auto applyMlp = [&](const Mlp &mlp, const Tensor &input,
-                              Tensor &output) {
-        if (backend.precision == Precision::Fp16) {
-            toHalf(input, pool, hin);
-            mlp.forward(hin, pool, ws, hout);
-            toFloat(hout, pool, output);
-        } else {
-            mlp.forward(input, pool, ws, output);
-        }
-    };
     part::PartitionerCache &pcache =
         ws.slot<part::PartitionerCache>("nn.pcache");
     part::PartitionConfig pconfig;
@@ -414,7 +397,7 @@ Network::run(const data::PointCloud &cloud,
                     }
                 });
             unique_in.quantizeFp16(pool);
-            applyMlp(saMlps_[si], unique_in, transformed);
+            saMlps_[si].forward(unique_in, pool, ws, transformed);
             out.total_macs += saMlps_[si].macs(n);
             out.sa_mlp_rows += n;
             lapInto(kStMlpUnique);
@@ -476,7 +459,7 @@ Network::run(const data::PointCloud &cloud,
         std::copy(gathered.values.begin(), gathered.values.end(),
                   grouped.data().begin());
         grouped.quantizeFp16(pool);
-        applyMlp(saMlps_[si], grouped, transformed);
+        saMlps_[si].forward(grouped, pool, ws, transformed);
         out.total_macs += saMlps_[si].macs(grouped.rows());
         out.sa_mlp_rows += grouped.rows();
 
@@ -492,7 +475,7 @@ Network::run(const data::PointCloud &cloud,
         Tensor &pooled = ws.slot<Tensor>("nn.pooled");
         globalMaxPool(levels.back().features, pooled);
         if (!config_.head.empty()) {
-            applyMlp(headMlp_, pooled, out.embedding);
+            headMlp_.forward(pooled, pool, ws, out.embedding);
             out.total_macs += headMlp_.macs(1);
         } else {
             out.embedding = pooled;
@@ -585,13 +568,13 @@ Network::run(const data::PointCloud &cloud,
                 }
             });
         merged.quantizeFp16(pool);
-        applyMlp(fpMlps_[fi], merged, coarse);
+        fpMlps_[fi].forward(merged, pool, ws, coarse);
         out.total_macs += fpMlps_[fi].macs(merged.rows());
         lapInto(kStMlp);
     }
 
     if (!config_.head.empty()) {
-        applyMlp(headMlp_, coarse, out.point_features);
+        headMlp_.forward(coarse, pool, ws, out.point_features);
         out.total_macs += headMlp_.macs(coarse.rows());
     } else {
         out.point_features = coarse;

@@ -2,30 +2,18 @@
  * @file
  * Minimal dense 2D tensor for the PNN substrate.
  *
- * Row-major float storage; the quantize() helper rounds every element
- * through IEEE binary16 to model the fp16 datapath of the accelerator
- * (weights and activations are fp16, accumulation fp32).
- *
- * HalfTensor is the storage-true variant: elements are binary16 bits
- * (std::uint16_t), halving activation bandwidth like the accelerator's
- * datapath. The fp16 end-to-end inference mode
- * (BackendOptions::precision == Precision::Fp16) runs every MLP on
- * HalfTensor activations; toHalf()/toFloat() convert at the
- * boundaries. Converting a Tensor that is already fp16-valued (the
- * invariant quantizeFp16 establishes) is exact, which is why the two
- * precision modes produce bit-identical activations per dispatch
- * level (see core/simd.h).
+ * Row-major float storage; the quantizeFp16() helper rounds every
+ * element through IEEE binary16 to model the fp16 datapath of the
+ * accelerator (weights and activations are fp16, accumulation fp32).
  */
 
 #ifndef FC_NN_TENSOR_H
 #define FC_NN_TENSOR_H
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
 #include <vector>
 
-#include "common/fp16.h"
 #include "common/logging.h"
 #include "core/parallel.h"
 #include "core/simd.h"
@@ -119,101 +107,6 @@ class Tensor
     std::size_t cols_ = 0;
     std::vector<float> data_;
 };
-
-/**
- * Dense 2D tensor stored as binary16 bits — the activation container
- * of the fp16 inference mode. Same shape/slot conventions as Tensor
- * (capacity-reusing resize for workspace slots); elements are raw
- * fp16 bit patterns, converted by the core::simd fp16 kernels.
- */
-class HalfTensor
-{
-  public:
-    HalfTensor() = default;
-
-    HalfTensor(std::size_t rows, std::size_t cols)
-        : rows_(rows), cols_(cols), data_(rows * cols, 0)
-    {}
-
-    std::size_t rows() const { return rows_; }
-    std::size_t cols() const { return cols_; }
-    std::size_t size() const { return data_.size(); }
-    bool empty() const { return data_.empty(); }
-
-    std::uint16_t &
-    at(std::size_t r, std::size_t c)
-    {
-        return data_[r * cols_ + c];
-    }
-
-    std::uint16_t
-    at(std::size_t r, std::size_t c) const
-    {
-        return data_[r * cols_ + c];
-    }
-
-    std::span<std::uint16_t>
-    row(std::size_t r)
-    {
-        return {data_.data() + r * cols_, cols_};
-    }
-
-    std::span<const std::uint16_t>
-    row(std::size_t r) const
-    {
-        return {data_.data() + r * cols_, cols_};
-    }
-
-    const std::vector<std::uint16_t> &data() const { return data_; }
-    std::vector<std::uint16_t> &data() { return data_; }
-
-    /** Capacity-reusing reshape (see Tensor::resize). */
-    void
-    resize(std::size_t rows, std::size_t cols)
-    {
-        rows_ = rows;
-        cols_ = cols;
-        data_.resize(rows * cols);
-    }
-
-  private:
-    std::size_t rows_ = 0;
-    std::size_t cols_ = 0;
-    std::vector<std::uint16_t> data_;
-};
-
-/**
- * Convert to binary16 storage (round-to-nearest-even; exact when
- * @p src is already fp16-valued). @p dst is reshaped reusing its
- * capacity; elementwise, so chunks dispatch over @p pool with
- * bit-identical results at any thread count.
- */
-inline void
-toHalf(const Tensor &src, core::ThreadPool *pool, HalfTensor &dst)
-{
-    dst.resize(src.rows(), src.cols());
-    const float *in = src.data().data();
-    std::uint16_t *out = dst.data().data();
-    core::parallelFor(pool, 0, src.size(), core::costGrain(2),
-                      [in, out](std::size_t cb, std::size_t ce) {
-                          core::simd::fp32ToFp16Buffer(in + cb, out + cb,
-                                                       ce - cb);
-                      });
-}
-
-/** Widen binary16 storage back to float (exact). */
-inline void
-toFloat(const HalfTensor &src, core::ThreadPool *pool, Tensor &dst)
-{
-    dst.resize(src.rows(), src.cols());
-    const std::uint16_t *in = src.data().data();
-    float *out = dst.data().data();
-    core::parallelFor(pool, 0, src.size(), core::costGrain(2),
-                      [in, out](std::size_t cb, std::size_t ce) {
-                          core::simd::fp16ToFp32Buffer(in + cb, out + cb,
-                                                       ce - cb);
-                      });
-}
 
 } // namespace fc::nn
 

@@ -2,8 +2,8 @@
  * @file
  * fc::serve::AsyncPipeline — the asynchronous serving frontend.
  *
- * FractalCloudPipeline::runBatch is a blocking call. This layer turns
- * the library into a service skeleton:
+ * serve::runBatch (serve/run_batch.h) is a blocking call. This layer
+ * turns the library into a service skeleton:
  *
  *   - submit()/trySubmit() admit one cloud each into a bounded,
  *     priority-classed admission queue and return a Ticket
@@ -42,11 +42,12 @@
  *     is bounded by the largest shapes seen, and
  *   - a slab-recycled outcome pool (also per shard): the BatchResult
  *     payload itself lives in a pooled OutcomeSlot whose lease rides
- *     the ticket from complete() to the consuming wait. waitInto()
- *     copies capacity-into-capacity and recycles the slot warm, so a
- *     warm same-shape submit -> poll -> waitInto round trip performs
- *     ZERO heap allocations end to end (value-returning wait() moves
- *     the payload out instead and the slot regrows on next use).
+ *     the ticket from complete() to the consuming wait; every Done
+ *     request completes through one. waitInto() copies
+ *     capacity-into-capacity and recycles the slot warm, so a warm
+ *     same-shape submit -> poll -> waitInto round trip performs ZERO
+ *     heap allocations end to end (value-returning wait() moves the
+ *     payload out instead and the slot regrows on next use).
  *
  * Results are byte-identical to the blocking path at any thread
  * count: every stage is deterministic with respect to its pool, so
@@ -139,16 +140,6 @@ struct ServeOptions
      * rebuild. Never affects results, only locality.
      */
     bool pin_shards = true;
-
-    /**
-     * Route each ticket's workspace checkout through its placement
-     * shard's own free list (the NUMA-local policy described in the
-     * file comment). false collapses all checkouts onto one shared
-     * pool — the pre-shard-local behavior, kept as an A/B lever for
-     * benchmarks (bench_shard_scaling compares both). Results are
-     * identical either way.
-     */
-    bool shard_local_workspaces = true;
 
     /**
      * Per-class admission bounds layered on queue_capacity: at most
@@ -410,8 +401,7 @@ class AsyncPipeline
     void notifyObserver(std::uint64_t id, Stage stage);
 
     /** Pop a warm workspace from @p shard's pool (reset) or create
-     *  one (first-seen per-shard concurrency). With
-     *  shard_local_workspaces off, every shard routes to pool 0. */
+     *  one (first-seen per-shard concurrency). */
     std::unique_ptr<ShardWorkspace> checkoutWorkspace(unsigned shard);
 
     /** Return @p ws to its OWNER's free list; @p returning_shard only

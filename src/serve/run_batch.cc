@@ -1,29 +1,16 @@
-/**
- * @file
- * FractalCloudPipeline::runBatch — the blocking batch wrapper over
- * the async serving frontend.
- *
- * Declared in core/pipeline.h (it is the core API's batched entry
- * point) but DEFINED here, inside the fc_serve target: the wrapper
- * rides serve::AsyncPipeline, and the core library must not include
- * or link upward into serve/. Callers of runBatch link fc_serve;
- * everything else in FractalCloudPipeline needs only the core
- * library.
- */
+#include "serve/run_batch.h"
 
 #include <exception>
 #include <utility>
 
 #include "common/logging.h"
-#include "core/pipeline.h"
 #include "serve/async_pipeline.h"
 
-namespace fc {
+namespace fc::serve {
 
 std::vector<BatchResult>
-FractalCloudPipeline::runBatch(const std::vector<data::PointCloud> &clouds,
-                               const PipelineOptions &options,
-                               const BatchRequest &request)
+runBatch(const std::vector<data::PointCloud> &clouds,
+         const PipelineOptions &options, const BatchRequest &request)
 {
     fc_assert(request.neighbors > 0, "batch needs neighbors > 0");
     std::vector<BatchResult> results(clouds.size());
@@ -41,12 +28,12 @@ FractalCloudPipeline::runBatch(const std::vector<data::PointCloud> &clouds,
     // processing, and one code path keeps blocking === async by
     // construction. All requests share one priority class, so the
     // schedule is the strict FIFO the blocking semantics promise.
-    serve::ServeOptions serve_options;
+    ServeOptions serve_options;
     serve_options.pipeline = options;
     serve_options.queue_capacity = clouds.size();
-    serve::AsyncPipeline server(serve_options);
+    AsyncPipeline server(serve_options);
 
-    std::vector<serve::Ticket> tickets;
+    std::vector<Ticket> tickets;
     tickets.reserve(clouds.size());
     for (std::size_t i = 0; i < clouds.size(); ++i) {
         fc_assert(!clouds[i].empty(),
@@ -61,17 +48,17 @@ FractalCloudPipeline::runBatch(const std::vector<data::PointCloud> &clouds,
             request));
     }
     for (std::size_t i = 0; i < clouds.size(); ++i) {
-        serve::RequestOutcome outcome = server.wait(tickets[i]);
+        RequestOutcome outcome = server.wait(tickets[i]);
         // Blocking semantics: a stage exception propagates to the
         // caller exactly as the pre-async runBatch rethrew it.
-        if (outcome.state == serve::RequestState::Failed)
+        if (outcome.state == RequestState::Failed)
             std::rethrow_exception(outcome.exception);
-        fc_assert(outcome.state == serve::RequestState::Done,
+        fc_assert(outcome.state == RequestState::Done,
                   "batch cloud %zu ended %s", i,
-                  serve::stateName(outcome.state));
+                  stateName(outcome.state));
         results[i] = std::move(outcome.result);
     }
     return results;
 }
 
-} // namespace fc
+} // namespace fc::serve

@@ -490,26 +490,12 @@ Scheduler::checkpoint(std::uint64_t id, bool *spill, int *spill_shard)
 }
 
 void
-Scheduler::complete(std::uint64_t id, BatchResult result)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    Record &record = records_.at(id);
-    fc_assert(record.state == RequestState::Running,
-              "complete on a request in state %s",
-              stateName(record.state));
-    record.result = std::move(result);
-    --shards_[record.shard].running;
-    --running_;
-    retireLocked(id, record, RequestState::Done);
-}
-
-void
 Scheduler::complete(std::uint64_t id, OutcomeSlot *slot)
 {
     fc_assert(slot != nullptr, "complete with a null outcome slot");
     std::lock_guard<std::mutex> lock(mutex_);
     fc_assert(outcome_recycler_ != nullptr,
-              "slot-completed request without an outcome recycler");
+              "complete without an outcome recycler");
     Record &record = records_.at(id);
     fc_assert(record.state == RequestState::Running,
               "complete on a request in state %s",
@@ -606,7 +592,7 @@ Scheduler::consumeIntoLocked(std::uint64_t id, Record &record,
             out.result = std::move(record.slot->result);
         }
     } else {
-        out.result = std::move(record.result);
+        out.result = BatchResult{};
     }
     out.error = std::move(record.error);
     out.exception = record.exception;

@@ -383,13 +383,8 @@ class Scheduler
     bool checkpoint(std::uint64_t id, bool *spill = nullptr,
                     int *spill_shard = nullptr);
 
-    /** Terminal transition: the request finished with @p result.
-     *  (Value form, used by bare-scheduler callers; the serving
-     *  pipeline completes with a pooled OutcomeSlot instead.) */
-    void complete(std::uint64_t id, BatchResult result);
-
     /**
-     * Terminal transition with a pooled payload: @p slot holds the
+     * Terminal transition: the request finished. @p slot holds the
      * finished BatchResult and its lease transfers to the record —
      * it rides the ticket until the consuming wait()/waitInto()
      * (which recycles it through the recycler installed by
@@ -400,9 +395,9 @@ class Scheduler
     void complete(std::uint64_t id, OutcomeSlot *slot);
 
     /**
-     * Install the slot-return hook (called once, before any
-     * slot-completed request is consumed). Invoked under the
-     * scheduler mutex; must not call back into the scheduler.
+     * Install the slot-return hook (called once, before the first
+     * complete()). Invoked under the scheduler mutex; must not call
+     * back into the scheduler.
      */
     void setOutcomeRecycler(std::function<void(OutcomeSlot *)> recycler);
 
@@ -499,7 +494,6 @@ class Scheduler
         BatchRequest request;
         std::optional<Clock::time_point> deadline;
         RequestTiming timing;
-        BatchResult result;
         std::string error;
         std::exception_ptr exception;
         Priority priority = Priority::Interactive;
@@ -508,21 +502,21 @@ class Scheduler
         bool spilled = false;   ///< spilled for at least one stage
         bool abandoned = false; ///< discard()ed; reclaim on retire
 
-        /** Pooled payload lease (Done via the slot overload only);
-         *  recycled when the record is reclaimed. */
+        /** Pooled payload lease (set iff Done); recycled when the
+         *  record is reclaimed. */
         OutcomeSlot *slot = nullptr;
 
         /** Return to a just-constructed state while KEEPING the
-         *  capacity of request, result, and error — recycled records
-         *  make the next admission allocation-free. */
+         *  capacity of request and error — recycled records make the
+         *  next admission allocation-free. */
         void
         reset()
         {
             state = RequestState::Queued;
             cancel_requested = false;
             cloud.reset();
-            // `request` and `result` keep their buffers: the next
-            // submit copy-assigns over them.
+            // `request` keeps its buffers: the next submit
+            // copy-assigns over it.
             deadline.reset();
             timing = RequestTiming{};
             error.clear();
@@ -590,10 +584,11 @@ class Scheduler
      *  here — acquire, checkpoint, and retirement. */
     void assignSpillLocked(Record &record, int target);
 
-    /** Consume a terminal record into @p out (mutex held): the
+    /** Consume a terminal record into @p out (mutex held): a Done
      *  payload is copied from the pooled slot when @p copy_payload
      *  (slot and @p out both stay warm — the zero-alloc path) or
-     *  moved out otherwise, then the record is reclaimed. */
+     *  moved out otherwise; any other state leaves @p out an empty
+     *  result. Then the record is reclaimed. */
     void consumeIntoLocked(std::uint64_t id, Record &record,
                            RequestOutcome &out, bool copy_payload);
 
@@ -653,7 +648,7 @@ class Scheduler
         record_nodes_;
 
     /** Slot-return hook into AsyncPipeline's per-shard pools; must
-     *  be installed before the first slot-completed consumption. */
+     *  be installed before the first complete(). */
     std::function<void(OutcomeSlot *)> outcome_recycler_;
 
     std::size_t queued_ = 0;

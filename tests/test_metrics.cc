@@ -140,11 +140,31 @@ TEST(MetricsHistogram, SingleValuePercentiles)
     SamplingOn on;
     Histogram h;
     h.record(777);
-    const std::uint64_t ub =
-        Histogram::bucketUpperBound(Histogram::bucketIndex(777));
-    EXPECT_EQ(h.percentile(0.5), ub);
-    EXPECT_EQ(h.percentile(0.99), ub);
+    // 777's bucket reaches past it; the clamp to max() makes a lone
+    // sample report itself exactly.
+    ASSERT_GT(Histogram::bucketUpperBound(Histogram::bucketIndex(777)),
+              777u);
+    EXPECT_EQ(h.percentile(0.5), 777u);
+    EXPECT_EQ(h.percentile(0.99), 777u);
     EXPECT_EQ(h.max(), 777u);
+}
+
+TEST(MetricsHistogram, PercentilesNeverExceedMax)
+{
+    SamplingOn on;
+    Histogram h;
+    // All three values share the [512, 639] bucket, whose upper bound
+    // lies above the largest of them: unclamped, p50 would read 639
+    // against a max of 611.
+    for (std::uint64_t v : {600ull, 605ull, 611ull})
+        h.record(v);
+    ASSERT_GT(Histogram::bucketUpperBound(Histogram::bucketIndex(611)),
+              611u);
+    ASSERT_EQ(h.max(), 611u);
+    for (double q : {0.5, 0.95, 0.99}) {
+        EXPECT_LE(h.percentile(q), h.max()) << "q=" << q;
+        EXPECT_GE(h.percentile(q), 600u) << "q=" << q;
+    }
 }
 
 // ---- Counter / gauge --------------------------------------------------

@@ -14,6 +14,7 @@
 #include "core/pipeline.h"
 #include "dataset/s3dis.h"
 #include "nn/network.h"
+#include "serve/run_batch.h"
 
 namespace fc::nn {
 namespace {
@@ -222,7 +223,7 @@ TEST(NetworkParallelDeterminism, ServedInferenceMatchesBlockingInfer)
         PipelineOptions threaded = options;
         threaded.num_threads = threads;
         const std::vector<BatchResult> batch =
-            FractalCloudPipeline::runBatch(clouds, threaded, request);
+            serve::runBatch(clouds, threaded, request);
         ASSERT_EQ(batch.size(), clouds.size());
         for (std::size_t i = 0; i < clouds.size(); ++i) {
             SCOPED_TRACE("cloud " + std::to_string(i));

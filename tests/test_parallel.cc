@@ -22,6 +22,7 @@
 #include "ops/neighbor.h"
 #include "partition/detail.h"
 #include "partition/partitioner.h"
+#include "serve/run_batch.h"
 
 namespace fc {
 namespace {
@@ -625,7 +626,7 @@ TEST(ParallelDeterminism, RunBatchMatchesSequentialPipelines)
     PipelineOptions sequential;
     sequential.num_threads = 1;
     const std::vector<BatchResult> baseline =
-        FractalCloudPipeline::runBatch(clouds, sequential, request);
+        serve::runBatch(clouds, sequential, request);
     ASSERT_EQ(baseline.size(), clouds.size());
 
     // Baseline itself must equal per-cloud sequential pipelines.
@@ -643,7 +644,7 @@ TEST(ParallelDeterminism, RunBatchMatchesSequentialPipelines)
         PipelineOptions options;
         options.num_threads = threads;
         const std::vector<BatchResult> batch =
-            FractalCloudPipeline::runBatch(clouds, options, request);
+            serve::runBatch(clouds, options, request);
         ASSERT_EQ(batch.size(), clouds.size());
         for (std::size_t i = 0; i < clouds.size(); ++i) {
             EXPECT_EQ(batch[i].sampled.indices,

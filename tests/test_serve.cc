@@ -20,7 +20,10 @@
 #include "core/pipeline.h"
 #include "dataset/s3dis.h"
 #include "serve/async_pipeline.h"
+#include "serve/run_batch.h"
 #include "serve/scheduler.h"
+
+#include "scheduler_slots.h"
 
 namespace fc {
 namespace {
@@ -78,6 +81,7 @@ struct StageGate
 TEST(Scheduler, FifoOrderAndCapacity)
 {
     Scheduler scheduler(/*queue_capacity=*/2, /*num_threads=*/4);
+    serve::SchedulerSlots slots(scheduler);
     const auto cloud = sharedScene(64, 1);
 
     const auto a = scheduler.trySubmit(cloud, {}, std::nullopt);
@@ -100,7 +104,7 @@ TEST(Scheduler, FifoOrderAndCapacity)
     const auto c = scheduler.trySubmit(cloud, {}, std::nullopt);
     ASSERT_TRUE(c);
 
-    scheduler.complete(job_a->id, BatchResult{});
+    scheduler.complete(job_a->id, slots.take());
     EXPECT_TRUE(scheduler.poll(*a));
     EXPECT_EQ(scheduler.wait(*a).state, RequestState::Done);
 
@@ -109,8 +113,8 @@ TEST(Scheduler, FifoOrderAndCapacity)
     ASSERT_TRUE(job_b && job_c);
     EXPECT_EQ(job_b->id, b->id);
     EXPECT_EQ(job_c->id, c->id);
-    scheduler.complete(job_b->id, BatchResult{});
-    scheduler.complete(job_c->id, BatchResult{});
+    scheduler.complete(job_b->id, slots.take());
+    scheduler.complete(job_c->id, slots.take());
 }
 
 TEST(Scheduler, AcquireRetiresCancelledHead)
@@ -171,6 +175,7 @@ TEST(Scheduler, SpillPolicyIsWorkConserving)
     // 4 pool threads: requests spill only while in-flight (queued +
     // running) stays under 4.
     Scheduler scheduler(16, /*num_threads=*/4);
+    serve::SchedulerSlots slots(scheduler);
     const auto cloud = sharedScene(64, 5);
     std::vector<Ticket> tickets;
     for (int i = 0; i < 6; ++i)
@@ -182,14 +187,14 @@ TEST(Scheduler, SpillPolicyIsWorkConserving)
         const auto job = scheduler.acquire();
         ASSERT_TRUE(job);
         EXPECT_FALSE(job->spill) << "request " << i;
-        scheduler.complete(job->id, BatchResult{});
+        scheduler.complete(job->id, slots.take());
     }
     // 3, 2, 1 in flight: idle slots exist, spill.
     for (int i = 3; i < 6; ++i) {
         const auto job = scheduler.acquire();
         ASSERT_TRUE(job);
         EXPECT_TRUE(job->spill) << "request " << i;
-        scheduler.complete(job->id, BatchResult{});
+        scheduler.complete(job->id, slots.take());
         EXPECT_TRUE(scheduler.wait(tickets[i]).spilled);
     }
 }
@@ -199,6 +204,7 @@ TEST(Scheduler, CheckpointRefreshesSpillAfterPoolDrains)
     // All four requests acquire at saturation (no spill); once three
     // complete, the survivor's next checkpoint switches it to spill.
     Scheduler scheduler(16, /*num_threads=*/4);
+    serve::SchedulerSlots slots(scheduler);
     const auto cloud = sharedScene(64, 7);
     std::vector<Ticket> tickets;
     std::vector<Scheduler::Job> jobs;
@@ -210,24 +216,25 @@ TEST(Scheduler, CheckpointRefreshesSpillAfterPoolDrains)
         EXPECT_FALSE(jobs.back().spill) << "request " << i;
     }
     for (int i = 0; i < 3; ++i)
-        scheduler.complete(jobs[i].id, BatchResult{});
+        scheduler.complete(jobs[i].id, slots.take());
 
     bool spill = jobs[3].spill;
     ASSERT_TRUE(scheduler.checkpoint(jobs[3].id, &spill));
     EXPECT_TRUE(spill) << "1 in flight < 4 threads must now spill";
-    scheduler.complete(jobs[3].id, BatchResult{});
+    scheduler.complete(jobs[3].id, slots.take());
     EXPECT_TRUE(scheduler.wait(tickets[3]).spilled);
 }
 
 TEST(Scheduler, WorkConservingOffNeverSpills)
 {
     Scheduler scheduler(4, 8, /*work_conserving=*/false);
+    serve::SchedulerSlots slots(scheduler);
     const auto cloud = sharedScene(64, 6);
     const auto t = scheduler.trySubmit(cloud, {}, std::nullopt);
     const auto job = scheduler.acquire();
     ASSERT_TRUE(t && job);
     EXPECT_FALSE(job->spill); // 1 in flight < 8 threads, but pinned
-    scheduler.complete(job->id, BatchResult{});
+    scheduler.complete(job->id, slots.take());
     EXPECT_FALSE(scheduler.wait(*t).spilled);
 }
 
@@ -320,7 +327,7 @@ TEST(AsyncPipeline, RunBatchMatchesAsyncSubmission)
     PipelineOptions options;
     options.num_threads = 2;
     const std::vector<BatchResult> batch =
-        FractalCloudPipeline::runBatch(clouds, options, request);
+        serve::runBatch(clouds, options, request);
 
     ServeOptions serve_options;
     serve_options.pipeline = options;

@@ -33,7 +33,10 @@
 #include "core/topology.h"
 #include "dataset/s3dis.h"
 #include "serve/async_pipeline.h"
+#include "serve/run_batch.h"
 #include "serve/scheduler.h"
+
+#include "scheduler_slots.h"
 
 namespace {
 
@@ -142,8 +145,7 @@ TEST(ShardedLocality, ServedResultsIdenticalAcrossPinningShardsThreads)
     reference_options.num_threads = 1;
     reference_options.threshold = 64;
     const std::vector<BatchResult> baseline =
-        FractalCloudPipeline::runBatch({scene}, reference_options,
-                                       request);
+        serve::runBatch({scene}, reference_options, request);
     ASSERT_EQ(baseline.size(), 1u);
 
     const auto cloud =
@@ -233,43 +235,6 @@ TEST(ShardedLocality, WorkspacesStayFlatPerShardUnderMixedClassLoad)
                       .value(),
                   0u);
     }
-}
-
-TEST(ShardedLocality, SharedPoolModeStillServesIdentically)
-{
-    const data::PointCloud scene = data::makeS3disScene(1024, 41);
-    BatchRequest request;
-    request.sample_rate = 0.25;
-    request.radius = 0.3f;
-    request.neighbors = 8;
-
-    serve::ServeOptions local;
-    local.pipeline.num_threads = 1;
-    local.pipeline.threshold = 64;
-    local.num_shards = 2;
-    serve::ServeOptions global = local;
-    global.shard_local_workspaces = false;
-
-    serve::AsyncPipeline a(local);
-    serve::AsyncPipeline b(global);
-    const auto cloud =
-        std::make_shared<const data::PointCloud>(scene);
-    for (std::uint64_t key = 1; key <= 4; ++key) {
-        SCOPED_TRACE("key=" + std::to_string(key));
-        const serve::RequestOutcome oa = a.wait(a.submitShared(
-            cloud, request, std::nullopt,
-            serve::Priority::Interactive, key));
-        const serve::RequestOutcome ob = b.wait(b.submitShared(
-            cloud, request, std::nullopt,
-            serve::Priority::Interactive, key));
-        ASSERT_EQ(oa.state, serve::RequestState::Done);
-        ASSERT_EQ(ob.state, serve::RequestState::Done);
-        EXPECT_EQ(oa.result.sampled.indices, ob.result.sampled.indices);
-        EXPECT_EQ(oa.result.gathered.values, ob.result.gathered.values);
-    }
-    // Shared mode routes every checkout to pool 0.
-    for (unsigned s = 1; s < b.numShards(); ++s)
-        EXPECT_EQ(b.workspacesCreated(s), 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -409,6 +374,7 @@ TEST(SchedulerClassCapacity, BoundsRejectOnlyTheBoundedClass)
         /*queue_capacity=*/8, /*num_threads=*/1,
         /*work_conserving=*/true, /*num_shards=*/1,
         serve::kPriorityWeight, &registry, bounds);
+    serve::SchedulerSlots slots(scheduler);
 
     const auto admit = [&](serve::Priority priority) {
         return scheduler.trySubmit(cloud, request, std::nullopt,
@@ -437,7 +403,7 @@ TEST(SchedulerClassCapacity, BoundsRejectOnlyTheBoundedClass)
     for (int i = 0; i < 3; ++i) {
         const auto job = scheduler.acquire(0);
         ASSERT_TRUE(job.has_value());
-        scheduler.complete(job->id, BatchResult{});
+        scheduler.complete(job->id, slots.take());
     }
     const auto bg2 = admit(serve::Priority::Background);
     ASSERT_TRUE(bg2.has_value());
@@ -445,7 +411,7 @@ TEST(SchedulerClassCapacity, BoundsRejectOnlyTheBoundedClass)
     // Retire everything so the scheduler can be destroyed cleanly.
     const auto last = scheduler.acquire(0);
     ASSERT_TRUE(last.has_value());
-    scheduler.complete(last->id, BatchResult{});
+    scheduler.complete(last->id, slots.take());
     for (const auto &ticket : {bg1, i1, b1, bg2})
         scheduler.discard(*ticket);
 }

@@ -26,7 +26,10 @@
 #include "core/sharded_executor.h"
 #include "dataset/s3dis.h"
 #include "serve/async_pipeline.h"
+#include "serve/run_batch.h"
 #include "serve/scheduler.h"
+
+#include "scheduler_slots.h"
 
 namespace fc {
 namespace {
@@ -294,6 +297,7 @@ TEST(ShardedServe, CrossShardSpillBorrowsIdleNeighbor)
     // for its block items.
     Scheduler scheduler(/*queue_capacity=*/16, /*num_threads=*/2,
                         /*work_conserving=*/true, /*num_shards=*/2);
+    serve::SchedulerSlots slots(scheduler);
     const core::ShardMap map(2);
     const std::uint64_t key0 = keyOnShard(map, 0);
     const auto cloud = sharedScene(64, 311);
@@ -314,15 +318,15 @@ TEST(ShardedServe, CrossShardSpillBorrowsIdleNeighbor)
     // Drain the rest: with 2 still in flight on shard 0 (== its
     // thread count) the second request keeps borrowing shard 1; the
     // last one, alone on its shard, spills to the home pool.
-    scheduler.complete(job->id, BatchResult{});
+    scheduler.complete(job->id, slots.take());
     const auto second = scheduler.acquire(0);
     ASSERT_TRUE(second);
     EXPECT_EQ(second->spill_shard, 1);
-    scheduler.complete(second->id, BatchResult{});
+    scheduler.complete(second->id, slots.take());
     const auto third = scheduler.acquire(0);
     ASSERT_TRUE(third);
     EXPECT_EQ(third->spill_shard, 0);
-    scheduler.complete(third->id, BatchResult{});
+    scheduler.complete(third->id, slots.take());
     for (const Ticket t : tickets)
         EXPECT_TRUE(scheduler.wait(t).spilled);
 }
@@ -341,7 +345,7 @@ TEST(ShardedServe, RunBatchUnchangedByShardedRuntime)
     PipelineOptions options;
     options.num_threads = 2;
     const std::vector<BatchResult> batch =
-        FractalCloudPipeline::runBatch(clouds, options, request);
+        serve::runBatch(clouds, options, request);
     ASSERT_EQ(batch.size(), clouds.size());
     for (std::size_t i = 0; i < clouds.size(); ++i)
         expectResultsIdentical(batch[i],
@@ -357,6 +361,7 @@ TEST(PriorityScheduling, BackloggedClassesShareByWeight)
     // within each class.
     Scheduler scheduler(/*queue_capacity=*/64, /*num_threads=*/1,
                         /*work_conserving=*/false);
+    serve::SchedulerSlots slots(scheduler);
     const auto cloud = sharedScene(64, 330);
 
     std::map<std::uint64_t, Priority> submitted;
@@ -379,7 +384,7 @@ TEST(PriorityScheduling, BackloggedClassesShareByWeight)
         const Priority p = submitted.at(job->id);
         order.push_back(p);
         per_class_ids[p].push_back(job->id);
-        scheduler.complete(job->id, BatchResult{});
+        scheduler.complete(job->id, slots.take());
     }
 
     // FIFO within each class.

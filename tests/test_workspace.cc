@@ -33,6 +33,7 @@
 #include "ops/knn_graph.h"
 #include "ops/neighbor.h"
 #include "serve/async_pipeline.h"
+#include "serve/run_batch.h"
 
 // Counting allocator: shared hook replacing the global allocation
 // operators binary-wide (see src/common/alloc_hook.h). Tests only
@@ -214,27 +215,6 @@ TEST(WorkspaceAlloc, SecondClassificationInferIsAllocationFree)
 
     const std::uint64_t before = fc::heapAllocCount();
     pipeline.infer(network, out);
-    EXPECT_EQ(fc::heapAllocCount() - before, 0u);
-}
-
-TEST(WorkspaceAlloc, SecondFp16InferIsAllocationFree)
-{
-    // The fp16 end-to-end mode keeps the steady-state guarantee: its
-    // HalfTensor intermediates live in workspace slots and reuse
-    // capacity exactly like the fp32 tensors they shadow.
-    const data::PointCloud scene = data::makeS3disScene(1024, 3);
-    const nn::Network network(tinySegModel(), 42);
-    nn::BackendOptions backend;
-    backend.method = part::Method::Fractal;
-    backend.threshold = 64;
-    backend.precision = nn::Precision::Fp16;
-
-    core::Workspace ws;
-    nn::InferenceResult out;
-    network.run(scene, backend, ws, out); // cold: grows slots
-    ws.reset();
-    const std::uint64_t before = fc::heapAllocCount();
-    network.run(scene, backend, ws, out); // warm
     EXPECT_EQ(fc::heapAllocCount() - before, 0u);
 }
 
@@ -446,7 +426,7 @@ TEST(WorkspaceDeterminism, ServeReusesWorkspacesWithIdenticalResults)
 
     // Blocking baseline for the same cloud.
     const std::vector<BatchResult> baseline =
-        FractalCloudPipeline::runBatch({scene}, options, request);
+        serve::runBatch({scene}, options, request);
     ASSERT_EQ(baseline.size(), 1u);
     ASSERT_TRUE(baseline[0].inference.has_value());
 
