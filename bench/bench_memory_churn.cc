@@ -16,8 +16,9 @@
  *     0 allocations now that chunk tasks use the pool's inline task
  *     slots (no std::function closures) and parallelReduce stages
  *     per-chunk values on the stack,
- *   - serve warm: AsyncPipeline steady state via the value wait()
- *     API, where the moved-out result payload still allocates,
+ *   - serve warm: AsyncPipeline steady state with waitInto into a
+ *     fresh RequestOutcome per request — a consumer that reuses no
+ *     buffer, so the handed-off result payload still allocates,
  *   - serve warm pooled outcome: submitShared + waitInto against the
  *     slab-recycled outcome pool — 0 allocations per request, and
  *     hard-gated (the bench exits nonzero on regression).
@@ -154,22 +155,23 @@ churnTable()
                   fc::Table::num(pooled_warm.ms),
                   std::to_string(kReps)});
 
-    // Serve warm: pooled workspaces; only the result payload (and the
-    // ticket bookkeeping) allocates per request.
+    // Serve warm: pooled workspaces, a fresh outcome per request;
+    // only the result payload (and the ticket bookkeeping) allocates
+    // per request — the swap leaves each recycled slot empty.
     fc::serve::ServeOptions serve_options;
     serve_options.pipeline = options;
     fc::serve::AsyncPipeline server(serve_options);
     fc::BatchRequest request;
     request.network = &network;
     for (int i = 0; i < 2; ++i) { // warm the workspace pool
-        fc::serve::RequestOutcome outcome =
-            server.wait(server.submit(scene, request));
+        fc::serve::RequestOutcome outcome;
+        server.waitInto(server.submit(scene, request), outcome);
         benchmark::DoNotOptimize(outcome.state);
     }
     const Sample serve_warm = measure(
         [&] {
-            fc::serve::RequestOutcome outcome =
-                server.wait(server.submit(scene, request));
+            fc::serve::RequestOutcome outcome;
+            server.waitInto(server.submit(scene, request), outcome);
             benchmark::DoNotOptimize(
                 outcome.result.gathered.values.data());
         },
@@ -179,10 +181,10 @@ churnTable()
                   std::to_string(kReps)});
 
     // Serve warm, pooled outcome: the zero-alloc serve path. waitInto
-    // copies the payload out of a slab-recycled outcome slot into a
-    // caller buffer whose capacity persists across calls, so the warm
-    // submit -> poll round trip performs no heap allocation at all.
-    // This row is the PR's hard guarantee and is gated below.
+    // swaps the payload of a slab-recycled outcome slot with a reused
+    // caller outcome, whose warm buffers go back to the slot, so the
+    // warm submit -> poll round trip performs no heap allocation at
+    // all. This row is a hard guarantee and is gated below.
     const auto shared_scene =
         std::make_shared<const fc::data::PointCloud>(scene);
     fc::serve::RequestOutcome pooled_outcome;

@@ -103,11 +103,11 @@ runTrial(fc::serve::AsyncPipeline &pipeline,
 {
     std::vector<double> us;
     us.reserve(kRequests);
+    fc::serve::RequestOutcome outcome;
     for (int r = 0; r < kRequests; ++r) {
         const auto start = std::chrono::steady_clock::now();
         const fc::serve::Ticket ticket = pipeline.submitShared(cloud);
-        const fc::serve::RequestOutcome outcome =
-            pipeline.wait(ticket);
+        pipeline.waitInto(ticket, outcome);
         const std::chrono::duration<double, std::micro> elapsed =
             std::chrono::steady_clock::now() - start;
         fc_assert(outcome.state == fc::serve::RequestState::Done,
@@ -134,8 +134,9 @@ measureMode(bool sampling)
 
     fc::serve::AsyncPipeline pipeline(options);
     // Warm-up: grow workspaces so trials measure steady state.
+    fc::serve::RequestOutcome outcome;
     for (int r = 0; r < 8; ++r)
-        (void)pipeline.wait(pipeline.submitShared(cloud));
+        pipeline.waitInto(pipeline.submitShared(cloud), outcome);
 
     LatencyStats best;
     for (int t = 0; t < kTrials; ++t) {

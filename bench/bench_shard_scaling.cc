@@ -95,6 +95,7 @@ measureShards(unsigned num_shards,
     fc::serve::AsyncPipeline server(options);
 
     ClassMeasurement measurement;
+    fc::serve::RequestOutcome outcome;
     std::size_t next_cloud = 0;
     const auto start = std::chrono::steady_clock::now();
     const auto done = [&] {
@@ -112,8 +113,7 @@ measureShards(unsigned num_shards,
                 static_cast<unsigned>(priority));
         }
         for (const auto &[ticket, cls] : tickets) {
-            const fc::serve::RequestOutcome outcome =
-                server.wait(ticket);
+            server.waitInto(ticket, outcome);
             const std::chrono::duration<double, std::milli> latency =
                 outcome.timing.finished - outcome.timing.submitted;
             measurement.latencies_ms[cls].push_back(latency.count());
@@ -184,12 +184,14 @@ BM_ShardedSubmitWaitRoundtrip(benchmark::State &state)
     fc::serve::AsyncPipeline server(options);
     const fc::data::PointCloud cloud = fc::data::makeS3disScene(512, 3);
     std::uint64_t key = 0;
+    fc::serve::RequestOutcome outcome;
     for (auto _ : state) {
         // Rotate the placement key so successive requests exercise
         // different shards (and their separate queues).
-        const fc::serve::RequestOutcome outcome = server.wait(
-            server.submit(cloud, request(), std::nullopt,
-                          fc::serve::Priority::Interactive, ++key));
+        server.waitInto(server.submit(cloud, request(), std::nullopt,
+                                      fc::serve::Priority::Interactive,
+                                      ++key),
+                        outcome);
         benchmark::DoNotOptimize(outcome.result.sampled.indices.data());
     }
     state.SetItemsProcessed(

@@ -124,9 +124,12 @@ main()
                     results[i].sampled.indices.size(),
                     results[i].gathered.values.size());
 
-    // 7. Async serving: submit/poll/wait with deadlines. The
-    // deadline is generous so quickstart never prints "expired" on a
-    // loaded machine; tight deadlines live in tests/test_serve.cc.
+    // 7. Async serving: submit/poll/waitInto with deadlines. waitInto
+    // is the one way to consume a ticket; reusing one outcome across
+    // requests hands its buffers back to the pipeline (the zero-alloc
+    // steady state). The deadline is generous so quickstart never
+    // prints "expired" on a loaded machine; tight deadlines live in
+    // tests/test_serve.cc.
     serve::ServeOptions serve_options;
     serve_options.pipeline = options;
     serve_options.queue_capacity = 8;
@@ -142,8 +145,9 @@ main()
     std::printf("async: %zu submitted, %zu already done at first "
                 "poll\n",
                 tickets.size(), ready);
+    serve::RequestOutcome outcome;
     for (std::size_t i = 0; i < tickets.size(); ++i) {
-        const serve::RequestOutcome outcome = server.wait(tickets[i]);
+        server.waitInto(tickets[i], outcome);
         const std::chrono::duration<double, std::milli> latency =
             outcome.timing.finished - outcome.timing.submitted;
         std::printf("async cloud %zu: %s in %.2f ms (%zu samples%s)\n",
@@ -215,7 +219,7 @@ main()
                 reuse_identical ? "bit-identical" : "DIVERGED (bug!)");
 
     // 10. Sharded, priority-aware serving: consistent-hash placement
-    // keys, weighted priority classes, bounded waits
+    // keys, 8:4:1 weighted priority classes, bounded waits
     // (docs/SERVING.md). Shard choice changes when a request runs,
     // never what it computes.
     serve::ServeOptions sharded_options;
@@ -234,21 +238,23 @@ main()
         batch[1], request, std::chrono::seconds(10),
         serve::Priority::Background, kSessionKey);
 
-    // waitFor does NOT cancel on timeout — the ticket stays live.
-    if (auto early =
-            sharded.waitFor(bg, std::chrono::milliseconds(1))) {
+    // A bounded waitInto does NOT cancel on timeout — the ticket
+    // stays live.
+    serve::RequestOutcome bg_outcome;
+    if (sharded.waitInto(bg, bg_outcome, std::chrono::milliseconds(1))) {
         std::printf("background done within 1 ms (%s)\n",
-                    serve::stateName(early->state));
-        (void)early;
+                    serve::stateName(bg_outcome.state));
     } else {
         std::printf("background not done after 1 ms -> still %s\n",
                     serve::stateName(sharded.state(bg)));
-        const serve::RequestOutcome late = sharded.wait(bg);
+        sharded.waitInto(bg, bg_outcome);
         std::printf("background finished %s on shard %u (%s)\n",
-                    serve::stateName(late.state), late.shard,
-                    serve::priorityName(late.priority));
+                    serve::stateName(bg_outcome.state),
+                    bg_outcome.shard,
+                    serve::priorityName(bg_outcome.priority));
     }
-    const serve::RequestOutcome fg_outcome = sharded.wait(fg);
+    serve::RequestOutcome fg_outcome;
+    sharded.waitInto(fg, fg_outcome);
     std::printf("interactive finished %s on shard %u — same shard, "
                 "same session key\n",
                 serve::stateName(fg_outcome.state), fg_outcome.shard);
@@ -266,7 +272,6 @@ main()
         serve::ServeOptions stats_options;
         stats_options.pipeline.num_threads = 2;
         stats_options.num_shards = 2;
-        stats_options.priority_weights = {8, 4, 1};
         serve::AsyncPipeline observed(stats_options);
         const auto shared_scene =
             std::make_shared<const data::PointCloud>(
@@ -278,8 +283,9 @@ main()
                 i % 2 ? serve::Priority::Batch
                       : serve::Priority::Interactive,
                 /*placement_key=*/static_cast<std::uint64_t>(i)));
+        serve::RequestOutcome observed_outcome;
         for (serve::Ticket t : tickets)
-            (void)observed.wait(t);
+            observed.waitInto(t, observed_outcome);
 
         const std::string stats = serve::renderStats(observed);
         // Print the header plus a taste of the body; a real service

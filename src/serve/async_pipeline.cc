@@ -34,9 +34,7 @@ AsyncPipeline::AsyncPipeline(const ServeOptions &options)
                 options.pipeline.num_threads, /*standalone=*/true,
                 options.pin_shards),
       scheduler_(options.queue_capacity, executor_.threadsPerShard(),
-                 options.work_conserving, executor_.numShards(),
-                 options.priority_weights, &registry_,
-                 options.class_capacity)
+                 executor_.numShards(), &registry_)
 {
     executor_.attachMetrics(registry_);
     static constexpr const char *kStageLabels[5] = {
@@ -229,7 +227,7 @@ void
 AsyncPipeline::recycleOutcome(OutcomeSlot *slot)
 {
     // Called both from executor workers (abandoned leases) and from
-    // under the scheduler mutex (the consuming wait); the pool mutex
+    // under the scheduler mutex (the consuming waitInto); the pool mutex
     // is a leaf, so no inversion either way.
     ShardPool &pool = *pools_[slot->owner_shard];
     std::lock_guard<std::mutex> lock(pool.mutex);
@@ -277,10 +275,9 @@ AsyncPipeline::execute(unsigned shard)
     // the schedule differs. (A one-thread spill target degenerates
     // to inline: its TaskGroup would run chunks on this waiter
     // anyway.)
-    bool spill = job->spill;
     int spill_shard = job->spill_shard;
     const auto pool = [&]() -> core::ThreadPool * {
-        if (!spill || spill_shard < 0)
+        if (spill_shard < 0)
             return nullptr;
         core::ThreadPool &target =
             executor_.shard(static_cast<unsigned>(spill_shard));
@@ -349,7 +346,7 @@ AsyncPipeline::execute(unsigned shard)
         core::Workspace &ws = lease.ws->ws;
 
         notifyObserver(id, Stage::Started);
-        if (!scheduler_.checkpoint(id, &spill, &spill_shard))
+        if (!scheduler_.checkpoint(id, &spill_shard))
             return;
 
         part::PartitionConfig config;
@@ -362,7 +359,7 @@ AsyncPipeline::execute(unsigned shard)
             .partitionInto(cloud, config, pool(), ws, part);
         lap(0); // partition
         notifyObserver(id, Stage::Partitioned);
-        if (!scheduler_.checkpoint(id, &spill, &spill_shard))
+        if (!scheduler_.checkpoint(id, &spill_shard))
             return;
 
         ops::FpsOptions fps;
@@ -372,7 +369,7 @@ AsyncPipeline::execute(unsigned shard)
                                       pool(), ws, out.sampled);
         lap(1); // sample
         notifyObserver(id, Stage::Sampled);
-        if (!scheduler_.checkpoint(id, &spill, &spill_shard))
+        if (!scheduler_.checkpoint(id, &spill_shard))
             return;
 
         ops::blockBallQuery(cloud, part.tree, out.sampled,
@@ -381,7 +378,7 @@ AsyncPipeline::execute(unsigned shard)
                             out.grouped);
         lap(2); // group
         notifyObserver(id, Stage::Grouped);
-        if (!scheduler_.checkpoint(id, &spill, &spill_shard))
+        if (!scheduler_.checkpoint(id, &spill_shard))
             return;
 
         ops::blockGatherNeighborhoods(
@@ -399,7 +396,7 @@ AsyncPipeline::execute(unsigned shard)
             // workspace. Extra checkpoint first — inference is the
             // most expensive stage, so cancels/deadlines issued
             // during gathering are honored before it starts.
-            if (!scheduler_.checkpoint(id, &spill, &spill_shard))
+            if (!scheduler_.checkpoint(id, &spill_shard))
                 return;
             stage_mark = Clock::now(); // exclude checkpoint wait
             nn::BackendOptions backend;

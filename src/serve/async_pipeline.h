@@ -14,9 +14,9 @@
  *     Batch / Background) that share each shard 8:4:1 under weighted
  *     aging — bulk traffic cannot starve, interactive traffic keeps
  *     its tail,
- *   - poll()/state()/wait()/waitFor() observe a ticket; wait()
- *     blocks for and consumes the terminal RequestOutcome, waitFor()
- *     bounds the block without cancelling,
+ *   - poll()/state() observe a ticket; waitInto() is the one way to
+ *     consume it: it blocks (optionally bounded, without cancelling
+ *     on timeout) for the terminal RequestOutcome,
  *   - per-request deadlines retire late work as Expired the moment a
  *     worker would otherwise start — or, between stages, continue —
  *     it,
@@ -42,12 +42,13 @@
  *     is bounded by the largest shapes seen, and
  *   - a slab-recycled outcome pool (also per shard): the BatchResult
  *     payload itself lives in a pooled OutcomeSlot whose lease rides
- *     the ticket from complete() to the consuming wait; every Done
- *     request completes through one. waitInto() copies
- *     capacity-into-capacity and recycles the slot warm, so a warm
- *     same-shape submit -> poll -> waitInto round trip performs ZERO
- *     heap allocations end to end (value-returning wait() moves the
- *     payload out instead and the slot regrows on next use).
+ *     the ticket from complete() to the consuming waitInto; every
+ *     Done request completes through one. waitInto() swaps the
+ *     payload with the caller's: a reused RequestOutcome hands its
+ *     warm buffers back to the slot, so a warm same-shape submit ->
+ *     poll -> waitInto round trip performs ZERO heap allocations end
+ *     to end, and a fresh one leaves the slot empty (it regrows on
+ *     next use).
  *
  * Results are byte-identical to the blocking path at any thread
  * count: every stage is deterministic with respect to its pool, so
@@ -115,21 +116,6 @@ struct ServeOptions
      *  over all shards and priority classes. */
     std::size_t queue_capacity = 64;
 
-    /** Enable the work-conserving spill policy. false = always
-     *  one-cloud-per-thread (the PR 1 runBatch dispatch). */
-    bool work_conserving = true;
-
-    /**
-     * Aging weight per priority class
-     * (Interactive : Batch : Background), each > 0. Backlogged
-     * classes share every shard in this proportion; the default is
-     * the historical 8:4:1. Runtime-configurable so deployments can
-     * retune fairness without rebuilding — the active weights are
-     * surfaced in /stats (serve.priority_weight{class=...}).
-     */
-    std::array<std::uint64_t, kNumPriorities> priority_weights =
-        kPriorityWeight;
-
     /**
      * Pin each shard's workers to a disjoint cpu set carved from the
      * detected NUMA topology (shard s prefers node s % nodes; see
@@ -140,16 +126,6 @@ struct ServeOptions
      * rebuild. Never affects results, only locality.
      */
     bool pin_shards = true;
-
-    /**
-     * Per-class admission bounds layered on queue_capacity: at most
-     * class_capacity[c] requests of class c may be queued at once
-     * across all shards (0 = bounded only by queue_capacity). Keeps
-     * a Background flood from crowding Interactive out of the
-     * admission queue; rejections count in
-     * serve.rejected_class{class=...}.
-     */
-    std::array<std::size_t, kNumPriorities> class_capacity{};
 
     /**
      * Test/telemetry hook: invoked on the executing worker at every
@@ -241,40 +217,28 @@ class AsyncPipeline
     /** True once the ticket reached a terminal state. */
     bool poll(Ticket ticket) const { return scheduler_.poll(ticket); }
 
-    /** Current state of a live (not yet wait()ed) ticket. */
+    /** Current state of a live (not yet consumed) ticket. */
     RequestState
     state(Ticket ticket) const
     {
         return scheduler_.state(ticket);
     }
 
-    /** Block until terminal; consumes the ticket. */
-    RequestOutcome wait(Ticket ticket) { return scheduler_.wait(ticket); }
-
     /**
-     * Allocation-free wait: consume the ticket into @p out, reusing
-     * @p out's payload capacity and recycling the pooled result slot
-     * warm. A warm same-shape submitShared -> waitInto loop with a
-     * reused RequestOutcome performs zero heap allocations on the
-     * serve path (bench_memory_churn gates this at exactly 0).
+     * Block until terminal and consume the ticket into @p out — the
+     * one consume call. The Done payload is swapped with the pooled
+     * slot's, so a warm same-shape submitShared -> waitInto loop with
+     * a reused RequestOutcome performs zero heap allocations on the
+     * serve path (bench_memory_churn gates this at exactly 0). With
+     * @p timeout, returns false if the request is still pending; the
+     * ticket then stays live and is NOT cancelled. See
+     * Scheduler::waitInto.
      */
-    void
-    waitInto(Ticket ticket, RequestOutcome &out)
+    bool
+    waitInto(Ticket ticket, RequestOutcome &out,
+             std::optional<Clock::duration> timeout = std::nullopt)
     {
-        scheduler_.waitInto(ticket, out);
-    }
-
-    /**
-     * Bounded wait: block up to @p timeout. On success the outcome
-     * is returned and the ticket consumed, exactly as by wait(); on
-     * timeout returns nullopt and the ticket stays live — the
-     * request is NOT cancelled (it keeps its queue position or keeps
-     * running), and the caller may wait again, cancel, or discard.
-     */
-    std::optional<RequestOutcome>
-    waitFor(Ticket ticket, Clock::duration timeout)
-    {
-        return scheduler_.waitFor(ticket, timeout);
+        return scheduler_.waitInto(ticket, out, timeout);
     }
 
     /** Best-effort cancel; true = requested, not guaranteed — the
@@ -284,7 +248,7 @@ class AsyncPipeline
     /**
      * Give up on a ticket without collecting its outcome (its record
      * is reclaimed once the request retires). Every ticket must end
-     * in exactly one wait() or discard() — cancel() alone does not
+     * in exactly one waitInto() or discard() — cancel() alone does not
      * free the bookkeeping. See Scheduler::discard.
      */
     void discard(Ticket ticket) { scheduler_.discard(ticket); }
@@ -372,7 +336,7 @@ class AsyncPipeline
      * One shard's memory pools plus their instruments: the workspace
      * free list (intermediates) and the outcome slab (result
      * payloads, leased to the scheduler from complete() until the
-     * consuming wait). The pool mutex is a LEAF lock — taken under
+     * consuming waitInto). The pool mutex is a LEAF lock — taken under
      * the scheduler mutex by the recycler, so pool code must never
      * call back into the scheduler.
      */

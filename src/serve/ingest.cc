@@ -76,7 +76,7 @@ StorageIngestor::runAll(const BatchRequest &request)
 
     for (std::size_t i = 0; i < blocks; ++i)
         if (tickets[i].has_value())
-            results[i].outcome = pipeline_.wait(*tickets[i]);
+            pipeline_.waitInto(*tickets[i], results[i].outcome);
 
     const storage::PrefetchStats after = prefetcher_->stats();
     prefetch_hits_->add(after.hits - before.hits);

@@ -48,7 +48,10 @@ runBatch(const std::vector<data::PointCloud> &clouds,
             request));
     }
     for (std::size_t i = 0; i < clouds.size(); ++i) {
-        RequestOutcome outcome = server.wait(tickets[i]);
+        // A fresh outcome: the swap hand-off leaves the slot empty,
+        // so each payload is moved, never copied.
+        RequestOutcome outcome;
+        server.waitInto(tickets[i], outcome);
         // Blocking semantics: a stage exception propagates to the
         // caller exactly as the pre-async runBatch rethrew it.
         if (outcome.state == RequestState::Failed)

@@ -1,5 +1,7 @@
 #include "serve/scheduler.h"
 
+#include <utility>
+
 #include "common/logging.h"
 
 namespace fc::serve {
@@ -86,24 +88,16 @@ shardName(const char *base, unsigned shard)
 
 } // namespace
 
-Scheduler::Scheduler(
-    std::size_t queue_capacity, unsigned num_threads,
-    bool work_conserving, unsigned num_shards,
-    const std::array<std::uint64_t, kNumPriorities> &priority_weights,
-    core::metrics::Registry *registry,
-    const std::array<std::size_t, kNumPriorities> &class_capacity)
+Scheduler::Scheduler(std::size_t queue_capacity, unsigned num_threads,
+                     unsigned num_shards,
+                     core::metrics::Registry *registry)
     : capacity_(queue_capacity), num_threads_(num_threads),
-      work_conserving_(work_conserving), weights_(priority_weights),
-      class_capacity_(class_capacity), shard_map_(num_shards),
-      shards_(num_shards), borrows_(num_shards, 0)
+      shard_map_(num_shards), shards_(num_shards),
+      borrows_(num_shards, 0)
 {
     fc_assert(capacity_ > 0, "scheduler needs a positive capacity");
     fc_assert(num_threads_ > 0, "scheduler needs a positive pool size");
     fc_assert(num_shards >= 1, "scheduler needs at least one shard");
-    for (unsigned c = 0; c < kNumPriorities; ++c)
-        fc_assert(weights_[c] > 0,
-                  "priority weight for class %s must be positive",
-                  priorityName(static_cast<Priority>(c)));
     if (registry == nullptr)
         return;
 
@@ -136,24 +130,6 @@ Scheduler::Scheduler(
         sm.borrow_out = &registry->counter(shardName("borrow_out", s));
         sm.borrow_in = &registry->counter(shardName("borrow_in", s));
     }
-    // The active aging weights, surfaced so operators (and tests) can
-    // read the runtime configuration off /stats.
-    for (unsigned c = 0; c < kNumPriorities; ++c)
-        registry
-            ->gauge(std::string("serve.priority_weight{class=") +
-                    priorityName(static_cast<Priority>(c)) + "}")
-            .forceSet(static_cast<std::int64_t>(weights_[c]));
-    // Per-class admission bounds and their rejection counters
-    // (global, not per shard: a class bound is checked before
-    // placement matters).
-    for (unsigned c = 0; c < kNumPriorities; ++c) {
-        const std::string cls =
-            priorityName(static_cast<Priority>(c));
-        rejected_class_[c] = &registry->counter(
-            "serve.rejected_class{class=" + cls + "}");
-        registry->gauge("serve.class_capacity{class=" + cls + "}")
-            .forceSet(static_cast<std::int64_t>(class_capacity_[c]));
-    }
 }
 
 Scheduler::~Scheduler()
@@ -180,15 +156,6 @@ Scheduler::trySubmit(std::shared_ptr<const data::PointCloud> cloud,
     if (shutdown_ || queued_ >= capacity_)
         return std::nullopt;
     const unsigned cls = static_cast<unsigned>(priority);
-    // Per-class bound, layered on the global one: a Background flood
-    // fills its own allowance and bounces, leaving Interactive's
-    // share of the queue free.
-    if (class_capacity_[cls] != 0 &&
-        class_queued_[cls] >= class_capacity_[cls]) {
-        if (rejected_class_[cls] != nullptr)
-            rejected_class_[cls]->add();
-        return std::nullopt;
-    }
 
     const Clock::time_point now = Clock::now();
     const std::uint64_t id = next_id_++;
@@ -223,7 +190,6 @@ Scheduler::trySubmit(std::shared_ptr<const data::PointCloud> cloud,
     st.queues[cls].push_back(id);
     ++st.queued;
     ++queued_;
-    ++class_queued_[cls];
     if (!metrics_.empty()) {
         ClassMetrics &cm = metrics_[shard].classes[cls];
         cm.submitted->add();
@@ -255,13 +221,8 @@ Scheduler::submitBlocking(std::shared_ptr<const data::PointCloud> cloud,
         std::unique_lock<std::mutex> lock(mutex_);
         if (shutdown_)
             return std::nullopt;
-        const unsigned cls = static_cast<unsigned>(priority);
-        cv_.wait(lock, [this, cls] {
-            return shutdown_ ||
-                   (queued_ < capacity_ &&
-                    (class_capacity_[cls] == 0 ||
-                     class_queued_[cls] < class_capacity_[cls]));
-        });
+        cv_.wait(lock,
+                 [this] { return shutdown_ || queued_ < capacity_; });
     }
 }
 
@@ -306,15 +267,13 @@ Scheduler::retireLocked(std::uint64_t id, Record &record,
     }
     record.cloud.reset(); // free the input as soon as possible
     if (record.abandoned)
-        reclaimRecordLocked(id); // discard()ed: nobody will wait()
+        reclaimRecordLocked(id); // discard()ed: nobody will consume
     cv_.notify_all();
 }
 
 int
 Scheduler::spillShardLocked(unsigned shard) const
 {
-    if (!work_conserving_)
-        return -1;
     const auto inflight = [this](unsigned s) {
         return shards_[s].queued + shards_[s].running;
     };
@@ -389,8 +348,6 @@ Scheduler::acquire(unsigned shard)
     // pop; the richest class wins (ties to the more interactive
     // one) and its credit resets. Classes whose queue drained reset
     // too — credit models the waiting requests, not the class.
-    // Weights are the runtime configuration passed at construction
-    // (default kPriorityWeight = 8:4:1).
     unsigned chosen = 0;
     std::uint64_t best_credit = 0;
     bool have = false;
@@ -399,7 +356,7 @@ Scheduler::acquire(unsigned shard)
             st.credit[c] = 0;
             continue;
         }
-        st.credit[c] += weights_[c];
+        st.credit[c] += kPriorityWeight[c];
         if (!have || st.credit[c] > best_credit) {
             have = true;
             chosen = c;
@@ -413,7 +370,6 @@ Scheduler::acquire(unsigned shard)
     st.queues[chosen].pop_front();
     --st.queued;
     --queued_;
-    --class_queued_[chosen];
     if (!metrics_.empty()) {
         ClassMetrics &cm = metrics_[shard].classes[chosen];
         cm.pops->add();
@@ -449,12 +405,11 @@ Scheduler::acquire(unsigned shard)
     job.request = record.request;
     job.shard = shard;
     job.spill_shard = record.spill_shard;
-    job.spill = record.spill_shard >= 0;
     return job;
 }
 
 bool
-Scheduler::checkpoint(std::uint64_t id, bool *spill, int *spill_shard)
+Scheduler::checkpoint(std::uint64_t id, int *spill_shard)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     Record &record = records_.at(id);
@@ -473,7 +428,7 @@ Scheduler::checkpoint(std::uint64_t id, bool *spill, int *spill_shard)
         retireLocked(id, record, RequestState::Expired);
         return false;
     }
-    if (spill != nullptr) {
+    if (spill_shard != nullptr) {
         // Re-evaluate the work-conserving decision from scratch: at
         // a stage boundary every TaskGroup has joined, so no chunk
         // of this request is in flight anywhere and the target can
@@ -482,9 +437,7 @@ Scheduler::checkpoint(std::uint64_t id, bool *spill, int *spill_shard)
         // received its own work is released; a pool that saturated
         // stops being fought over.
         assignSpillLocked(record, spillShardLocked(record.shard));
-        *spill = record.spill_shard >= 0;
-        if (spill_shard != nullptr)
-            *spill_shard = record.spill_shard;
+        *spill_shard = record.spill_shard;
     }
     return true;
 }
@@ -577,20 +530,15 @@ Scheduler::state(Ticket ticket) const
 
 void
 Scheduler::consumeIntoLocked(std::uint64_t id, Record &record,
-                             RequestOutcome &out, bool copy_payload)
+                             RequestOutcome &out)
 {
     out.state = record.state;
     if (record.slot != nullptr) {
-        if (copy_payload) {
-            // Capacity-reusing copy on BOTH sides: the caller's warm
-            // outcome keeps its buffers, and the slot recycles warm
-            // for the next request — the zero-alloc round trip.
-            out.result = record.slot->result;
-        } else {
-            // Value wait: the caller takes ownership; the slot
-            // recycles gutted and regrows on its next use.
-            out.result = std::move(record.slot->result);
-        }
+        // The caller's previous buffers recycle with the slot, so the
+        // next request on this shard writes into warm capacity. The
+        // executor's Into stages overwrite everything they fill, so
+        // stale content in those buffers is never observable.
+        std::swap(out.result, record.slot->result);
     } else {
         out.result = BatchResult{};
     }
@@ -616,55 +564,26 @@ Scheduler::reclaimRecordLocked(std::uint64_t id)
     record_nodes_.push_back(std::move(nh));
 }
 
-RequestOutcome
-Scheduler::wait(Ticket ticket)
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    auto it = records_.find(ticket.id);
-    fc_assert(it != records_.end(),
-              "wait on unknown or already-consumed ticket %llu",
-              static_cast<unsigned long long>(ticket.id));
-    // Hold a pointer, not the iterator: concurrent submissions can
-    // rehash records_ while we sleep, which invalidates iterators but
-    // never element references (the map is node-based).
-    Record *record = &it->second;
-    cv_.wait(lock, [record] { return isTerminal(record->state); });
-    RequestOutcome outcome;
-    consumeIntoLocked(ticket.id, *record, outcome,
-                      /*copy_payload=*/false);
-    return outcome;
-}
-
-void
-Scheduler::waitInto(Ticket ticket, RequestOutcome &out)
+bool
+Scheduler::waitInto(Ticket ticket, RequestOutcome &out,
+                    std::optional<Clock::duration> timeout)
 {
     std::unique_lock<std::mutex> lock(mutex_);
     auto it = records_.find(ticket.id);
     fc_assert(it != records_.end(),
               "waitInto on unknown or already-consumed ticket %llu",
               static_cast<unsigned long long>(ticket.id));
+    // Hold a pointer, not the iterator: concurrent submissions can
+    // rehash records_ while we sleep, which invalidates iterators but
+    // never element references (the map is node-based).
     Record *record = &it->second;
-    cv_.wait(lock, [record] { return isTerminal(record->state); });
-    consumeIntoLocked(ticket.id, *record, out, /*copy_payload=*/true);
-}
-
-std::optional<RequestOutcome>
-Scheduler::waitFor(Ticket ticket, Clock::duration timeout)
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    auto it = records_.find(ticket.id);
-    fc_assert(it != records_.end(),
-              "waitFor on unknown or already-consumed ticket %llu",
-              static_cast<unsigned long long>(ticket.id));
-    Record *record = &it->second;
-    if (!cv_.wait_for(lock, timeout, [record] {
-            return isTerminal(record->state);
-        }))
-        return std::nullopt; // still pending; the ticket stays live
-    std::optional<RequestOutcome> outcome(std::in_place);
-    consumeIntoLocked(ticket.id, *record, *outcome,
-                      /*copy_payload=*/false);
-    return outcome;
+    const auto terminal = [record] { return isTerminal(record->state); };
+    if (!timeout)
+        cv_.wait(lock, terminal);
+    else if (!cv_.wait_for(lock, *timeout, terminal))
+        return false; // still pending; the ticket stays live
+    consumeIntoLocked(ticket.id, *record, out);
+    return true;
 }
 
 void
@@ -673,7 +592,7 @@ Scheduler::discard(Ticket ticket)
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = records_.find(ticket.id);
     if (it == records_.end())
-        return; // already consumed by wait() or a prior discard
+        return; // already consumed by waitInto() or a prior discard
     Record &record = it->second;
     if (isTerminal(record.state)) {
         reclaimRecordLocked(ticket.id);

@@ -2,7 +2,7 @@
  * @file
  * The serving scheduler: sharded, priority-aware admission with
  * per-request deadlines, cooperative cancellation, and the
- * work-conserving (now cross-shard) spill policy.
+ * work-conserving (cross-shard) spill policy.
  *
  * The Scheduler owns no threads — it is the pure bookkeeping core of
  * fc::serve::AsyncPipeline, which pairs it with a
@@ -21,7 +21,9 @@
  *                             boundaries; retires the request when it
  *                             answers false,
  *   complete/fail             terminal transitions, and
- *   poll/state/wait/waitFor/cancel  the client-facing side.
+ *   poll/state/waitInto/cancel/discard  the client-facing side;
+ *                             waitInto is the one way to consume a
+ *                             ticket.
  *
  * Placement: each request hashes onto a shard via core::ShardMap —
  * by its ticket id by default (spreads uniform traffic evenly), or by
@@ -43,7 +45,7 @@
  * a class, strict FIFO. A single-class workload (e.g. everything
  * Interactive, the default) degenerates to exactly the PR 2 FIFO.
  *
- * Work-conserving spill, now cross-shard: acquire() marks a request
+ * Work-conserving spill, always on: acquire() marks a request
  * with a spill shard when idle capacity exists — its own shard when
  * in-flight requests there number fewer than the shard's threads,
  * else the lowest-indexed FULLY idle other shard. The executor
@@ -122,9 +124,7 @@ enum class Priority : std::uint8_t {
 
 inline constexpr unsigned kNumPriorities = 3;
 
-/** Default aging weight per class: relative share of a backlogged
- *  shard. The active weights are runtime-configurable per scheduler
- *  (ServeOptions::priority_weights); this array is only the default. */
+/** Aging weight per class: relative share of a backlogged shard. */
 inline constexpr std::array<std::uint64_t, kNumPriorities>
     kPriorityWeight = {8, 4, 1};
 
@@ -138,7 +138,7 @@ struct RequestTiming
     Clock::time_point finished;
 };
 
-/** Terminal outcome of a request, returned once by wait(). */
+/** Terminal outcome of a request, filled once by waitInto(). */
 struct RequestOutcome
 {
     RequestState state = RequestState::Cancelled;
@@ -169,12 +169,13 @@ struct RequestOutcome
 
 /**
  * One slab slot of the serving outcome pool: a capacity-retaining
- * BatchResult an executor writes into and a waiter copies (waitInto)
- * or moves (wait) out of. Slots are owned and recycled by
- * AsyncPipeline's per-shard pools; the Scheduler only carries the
- * lease from complete() to the consuming wait — the lease rides the
- * ticket. Recycled slots keep every vector's and tensor's capacity,
- * which is what drives warm serve-path allocations to zero.
+ * BatchResult an executor writes into and waitInto swaps with the
+ * caller's result. Slots are owned and recycled by AsyncPipeline's
+ * per-shard pools; the Scheduler only carries the lease from
+ * complete() to the consuming waitInto — the lease rides the ticket.
+ * A recycled slot keeps the capacity of whatever buffers the swap
+ * left in it, which is what drives warm serve-path allocations to
+ * zero.
  */
 struct OutcomeSlot
 {
@@ -265,11 +266,6 @@ class Scheduler
          *  executor's shard). */
         unsigned shard = 0;
 
-        /** Work-conserving decision; always == (spill_shard >= 0),
-         *  kept as a separate field for the single-pool API shape
-         *  (both are assigned together in acquire()). */
-        bool spill = false;
-
         /** Shard whose pool should run this request's block items;
          *  negative = run inline. Equals `shard` for a same-shard
          *  spill, another index for a cross-shard borrow. */
@@ -281,39 +277,17 @@ class Scheduler
      *                        summed over all shards and classes
      * @param num_threads     per-shard pool size the spill policy
      *                        compares with
-     * @param work_conserving false pins every request to
-     *                        one-cloud-per-thread (spill always off)
      * @param num_shards      executor shards (placement targets)
-     * @param priority_weights aging weight per class (> 0 each);
-     *                        backlogged classes share a shard in this
-     *                        proportion
      * @param registry        when non-null, the scheduler registers
      *                        and maintains its serving telemetry
      *                        (per-(shard x class) queue depth, wait
      *                        and latency histograms, pop/spill/borrow
      *                        and outcome counters) in it; must
      *                        outlive the scheduler
-     * @param class_capacity  per-class admission bound layered on
-     *                        @p queue_capacity (queued requests of
-     *                        class c across all shards; 0 = bounded
-     *                        only by the global capacity). Keeps a
-     *                        Background flood from crowding
-     *                        Interactive out of the queue.
      */
     Scheduler(std::size_t queue_capacity, unsigned num_threads,
-              bool work_conserving = true, unsigned num_shards = 1,
-              const std::array<std::uint64_t, kNumPriorities>
-                  &priority_weights = kPriorityWeight,
-              core::metrics::Registry *registry = nullptr,
-              const std::array<std::size_t, kNumPriorities>
-                  &class_capacity = {});
-
-    /** Active aging weights (runtime-configured at construction). */
-    const std::array<std::uint64_t, kNumPriorities> &
-    priorityWeights() const
-    {
-        return weights_;
-    }
+              unsigned num_shards = 1,
+              core::metrics::Registry *registry = nullptr);
 
     ~Scheduler();
 
@@ -371,23 +345,21 @@ class Scheduler
      * Returns true to continue; false means the request was just
      * retired (Cancelled or Expired) and the executor must stop.
      *
-     * When continuing and @p spill is non-null, the work-conserving
-     * decision is re-evaluated from scratch into it (and, when
-     * @p spill_shard is non-null, the chosen shard): a request
-     * acquired at saturation starts spilling once capacity frees up
-     * anywhere, a borrowed neighbor is released once it has work of
-     * its own, and a saturated pool stops being fought over. Safe to
-     * change per stage — at a boundary every chunk of the request
-     * has already joined.
+     * When continuing and @p spill_shard is non-null, the
+     * work-conserving decision is re-evaluated from scratch into it
+     * (-1 = run inline): a request acquired at saturation starts
+     * spilling once capacity frees up anywhere, a borrowed neighbor
+     * is released once it has work of its own, and a saturated pool
+     * stops being fought over. Safe to change per stage — at a
+     * boundary every chunk of the request has already joined.
      */
-    bool checkpoint(std::uint64_t id, bool *spill = nullptr,
-                    int *spill_shard = nullptr);
+    bool checkpoint(std::uint64_t id, int *spill_shard = nullptr);
 
     /**
      * Terminal transition: the request finished. @p slot holds the
      * finished BatchResult and its lease transfers to the record —
-     * it rides the ticket until the consuming wait()/waitInto()
-     * (which recycles it through the recycler installed by
+     * it rides the ticket until the consuming waitInto() (which
+     * recycles it through the recycler installed by
      * setOutcomeRecycler) or, for abandoned/discarded tickets, until
      * retirement reclaims the record. @p slot must stay valid until
      * then (AsyncPipeline owns the slab storage).
@@ -408,54 +380,48 @@ class Scheduler
      * Request cancellation. Queued work is retired when its executor
      * task pops it; running work stops at its next checkpoint().
      * Returns false when the request already reached a terminal
-     * state (or the ticket was consumed by wait()).
+     * state (or the ticket was consumed by waitInto()).
      *
      * true means "cancellation requested", not "will not complete":
      * a request past its last stage checkpoint still retires Done,
-     * so callers must branch on the terminal state from wait(), not
-     * on cancel()'s return value.
+     * so callers must branch on the terminal state from waitInto(),
+     * not on cancel()'s return value.
      */
     bool cancel(Ticket ticket);
 
     /** True once the request is in a terminal state. */
     bool poll(Ticket ticket) const;
 
-    /** Current state of a live (not yet wait()ed) ticket. */
+    /** Current state of a live (not yet consumed) ticket. */
     RequestState state(Ticket ticket) const;
 
     /**
-     * Block until terminal, then consume the record and return its
-     * outcome. Each ticket may be waited exactly once.
+     * Block until the request is terminal, then consume the ticket
+     * into @p out. Each ticket is consumed exactly once.
+     *
+     * A Done payload is swapped with the pooled slot's: @p out takes
+     * the finished result, and the slot recycles holding @p out's
+     * previous buffers. A reused @p out therefore hands its warm
+     * capacity back to the pool — a warm same-shape submitShared ->
+     * waitInto loop performs zero heap allocations end to end — and
+     * a fresh one leaves the slot empty. Any other terminal state
+     * leaves out.result empty. @p out never aliases pool memory.
+     *
+     * With @p timeout, blocks at most that long: false means the
+     * request is still pending, @p out is untouched, and the ticket
+     * stays live — the request is NOT cancelled (it keeps its queue
+     * position or keeps running), and the caller may wait again,
+     * cancel, or discard. Returns true once the ticket is consumed.
      */
-    RequestOutcome wait(Ticket ticket);
-
-    /**
-     * Allocation-free consumption: like wait(), but the outcome is
-     * written into @p out, whose payload vectors/tensors reuse their
-     * capacity — a warm same-shape round trip (submitShared ->
-     * waitInto with a reused RequestOutcome) performs zero heap
-     * allocations end to end. The pooled slot is copied from and
-     * recycled warm, so the pipeline's next request reuses its
-     * capacity too; @p out never aliases pool memory.
-     */
-    void waitInto(Ticket ticket, RequestOutcome &out);
-
-    /**
-     * Bounded wait: block up to @p timeout for the request to reach
-     * a terminal state. On success the record is consumed exactly as
-     * by wait(); on timeout returns nullopt and the ticket stays
-     * live — the request keeps its queue position (or keeps
-     * running), and the caller may wait again, cancel, or discard.
-     */
-    std::optional<RequestOutcome> waitFor(Ticket ticket,
-                                          Clock::duration timeout);
+    bool waitInto(Ticket ticket, RequestOutcome &out,
+                  std::optional<Clock::duration> timeout = std::nullopt);
 
     /**
      * Give up on a ticket without collecting its outcome: requests
      * still pending are flagged for cancellation, and the record is
      * reclaimed the moment it retires (immediately if already
      * terminal). A fire-and-forget or cancel-and-forget client must
-     * call this (or wait()) for every ticket, or abandoned records
+     * call this (or waitInto()) for every ticket, or abandoned records
      * accumulate for the scheduler's lifetime. Idempotent; safe on
      * already-consumed tickets.
      */
@@ -585,12 +551,10 @@ class Scheduler
     void assignSpillLocked(Record &record, int target);
 
     /** Consume a terminal record into @p out (mutex held): a Done
-     *  payload is copied from the pooled slot when @p copy_payload
-     *  (slot and @p out both stay warm — the zero-alloc path) or
-     *  moved out otherwise; any other state leaves @p out an empty
-     *  result. Then the record is reclaimed. */
+     *  payload is swapped with the pooled slot's; any other state
+     *  leaves @p out an empty result. Then the record is reclaimed. */
     void consumeIntoLocked(std::uint64_t id, Record &record,
-                           RequestOutcome &out, bool copy_payload);
+                           RequestOutcome &out);
 
     /** Take @p id's record out of the ledger (mutex held): recycle
      *  its outcome slot (if still leased), reset() it
@@ -610,20 +574,6 @@ class Scheduler
 
     const std::size_t capacity_;
     const unsigned num_threads_;
-    const bool work_conserving_;
-    const std::array<std::uint64_t, kNumPriorities> weights_;
-
-    /** Per-class admission bounds (0 = global bound only). */
-    const std::array<std::size_t, kNumPriorities> class_capacity_;
-
-    /** Queued requests per class, summed over shards (the counters
-     *  the class bounds compare against). */
-    std::array<std::size_t, kNumPriorities> class_queued_{};
-
-    /** Per-class admission rejections due to a class bound; null
-     *  without a registry. */
-    std::array<core::metrics::Counter *, kNumPriorities>
-        rejected_class_{};
 
     core::ShardMap shard_map_;
     std::vector<ShardState> shards_;

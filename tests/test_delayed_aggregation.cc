@@ -307,8 +307,8 @@ TEST(DelayedAggregation, ServePathMatchesDirectRun)
     BatchRequest request;
     request.network = &net;
     request.aggregation = nn::Aggregation::Delayed;
-    const serve::RequestOutcome outcome =
-        server.wait(server.submit(scene, request));
+    serve::RequestOutcome outcome;
+    server.waitInto(server.submit(scene, request), outcome);
     ASSERT_EQ(outcome.state, serve::RequestState::Done)
         << outcome.error;
     ASSERT_TRUE(outcome.result.inference.has_value());
@@ -318,8 +318,8 @@ TEST(DelayedAggregation, ServePathMatchesDirectRun)
     // different execution order ⇒ different row count).
     BatchRequest eager_request;
     eager_request.network = &net;
-    const serve::RequestOutcome eager_outcome =
-        server.wait(server.submit(scene, eager_request));
+    serve::RequestOutcome eager_outcome;
+    server.waitInto(server.submit(scene, eager_request), eager_outcome);
     ASSERT_EQ(eager_outcome.state, serve::RequestState::Done);
     ASSERT_TRUE(eager_outcome.result.inference.has_value());
     EXPECT_GT(eager_outcome.result.inference->sa_mlp_rows,

@@ -7,8 +7,7 @@
  * suite runs under TSan in CI), and the /stats surface — rendered
  * after a mixed-priority serve run and parsed back: per-class
  * submitted/completed/expired/cancelled counters must match observed
- * outcomes, spill counters must fire under work-conserving load, and
- * the runtime-configured priority weights must be surfaced.
+ * outcomes, and spill counters must fire under work-conserving load.
  */
 
 #include <algorithm>
@@ -28,6 +27,8 @@
 #include "serve/async_pipeline.h"
 #include "serve/scheduler.h"
 #include "serve/stats.h"
+
+#include "consume.h"
 
 namespace fc {
 namespace {
@@ -419,7 +420,6 @@ TEST(ServeStats, MixedPriorityRunRendersAccurateCounters)
     options.pipeline.num_threads = 2;
     options.num_shards = 2;
     options.queue_capacity = 64;
-    options.priority_weights = {6, 3, 2}; // non-default, must surface
 
     const auto cloud = std::make_shared<const data::PointCloud>(
         data::makeS3disScene(512, 7));
@@ -445,7 +445,7 @@ TEST(ServeStats, MixedPriorityRunRendersAccurateCounters)
                 Priority::Background, /*placement_key=*/i + 1));
         }
         for (Ticket t : tickets) {
-            const RequestOutcome outcome = pipeline.wait(t);
+            const RequestOutcome outcome = consume(pipeline, t);
             switch (outcome.state) {
               case RequestState::Done:
                 ++done;
@@ -520,17 +520,6 @@ TEST(ServeStats, MixedPriorityRunRendersAccurateCounters)
         }
         EXPECT_GT(spills, 0);
 
-        // Runtime-configured aging weights are surfaced.
-        EXPECT_EQ(statValue(stats,
-                            "serve.priority_weight{class=interactive}"),
-                  6);
-        EXPECT_EQ(statValue(stats, "serve.priority_weight{class=batch}"),
-                  3);
-        EXPECT_EQ(
-            statValue(stats,
-                      "serve.priority_weight{class=background}"),
-            2);
-
         // The executor counted one task per admitted request.
         EXPECT_EQ(statValue(stats, "core.executor.tasks{shard=0}") +
                       statValue(stats, "core.executor.tasks{shard=1}"),
@@ -575,10 +564,10 @@ TEST(ServeStats, CancelledQueuedRequestIsCounted)
                                           Priority::Background);
     const bool requested = pipeline.cancel(victim);
     unsigned cancelled = 0;
-    if (pipeline.wait(victim).state == RequestState::Cancelled)
+    if (consume(pipeline, victim).state == RequestState::Cancelled)
         ++cancelled;
     for (Ticket t : busy)
-        (void)pipeline.wait(t);
+        (void)consume(pipeline, t);
     EXPECT_TRUE(requested);
 
     const auto stats = parseStats(serve::renderStats(pipeline));
@@ -586,22 +575,6 @@ TEST(ServeStats, CancelledQueuedRequestIsCounted)
                   stats,
                   "serve.cancelled{shard=0,class=background}"),
               static_cast<std::int64_t>(cancelled));
-}
-
-TEST(ServeStats, DefaultWeightsSurfacedAndAccessorAgrees)
-{
-    ServeOptions options;
-    options.pipeline.num_threads = 1;
-    AsyncPipeline pipeline(options);
-    const auto stats = parseStats(serve::renderStats(pipeline));
-    EXPECT_EQ(statValue(stats,
-                        "serve.priority_weight{class=interactive}"),
-              static_cast<std::int64_t>(serve::kPriorityWeight[0]));
-    EXPECT_EQ(statValue(stats, "serve.priority_weight{class=batch}"),
-              static_cast<std::int64_t>(serve::kPriorityWeight[1]));
-    EXPECT_EQ(statValue(stats,
-                        "serve.priority_weight{class=background}"),
-              static_cast<std::int64_t>(serve::kPriorityWeight[2]));
 }
 
 } // namespace

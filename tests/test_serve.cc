@@ -2,7 +2,7 @@
  * @file
  * Tests for the async serving frontend: Scheduler protocol (FIFO
  * admission, capacity, deadlines, cancellation, work-conserving
- * spill) and AsyncPipeline end-to-end behavior — submit/poll/wait
+ * spill) and AsyncPipeline end-to-end behavior — submit/poll/waitInto
  * determinism against the blocking path at 1/2/8 threads, deadline
  * expiry, admission-queue rejection, cancellation mid-flight, and a
  * concurrent stress run (the CI TSan job executes this whole file).
@@ -23,6 +23,7 @@
 #include "serve/run_batch.h"
 #include "serve/scheduler.h"
 
+#include "consume.h"
 #include "scheduler_slots.h"
 
 namespace fc {
@@ -106,7 +107,7 @@ TEST(Scheduler, FifoOrderAndCapacity)
 
     scheduler.complete(job_a->id, slots.take());
     EXPECT_TRUE(scheduler.poll(*a));
-    EXPECT_EQ(scheduler.wait(*a).state, RequestState::Done);
+    EXPECT_EQ(consume(scheduler, *a).state, RequestState::Done);
 
     const auto job_b = scheduler.acquire();
     const auto job_c = scheduler.acquire();
@@ -125,7 +126,7 @@ TEST(Scheduler, AcquireRetiresCancelledHead)
     ASSERT_TRUE(t);
     EXPECT_TRUE(scheduler.cancel(*t));
     EXPECT_FALSE(scheduler.acquire()); // retired unrun
-    const RequestOutcome outcome = scheduler.wait(*t);
+    const RequestOutcome outcome = consume(scheduler, *t);
     EXPECT_EQ(outcome.state, RequestState::Cancelled);
     // A terminal request cannot be cancelled again (and the ticket is
     // consumed, so cancel reports false rather than asserting).
@@ -142,7 +143,7 @@ TEST(Scheduler, AcquireExpiresLateHead)
         cloud, {}, std::chrono::milliseconds(-1));
     ASSERT_TRUE(t);
     EXPECT_FALSE(scheduler.acquire());
-    EXPECT_EQ(scheduler.wait(*t).state, RequestState::Expired);
+    EXPECT_EQ(consume(scheduler, *t).state, RequestState::Expired);
 }
 
 TEST(Scheduler, CheckpointHonorsCancelAndDeadline)
@@ -156,7 +157,7 @@ TEST(Scheduler, CheckpointHonorsCancelAndDeadline)
     EXPECT_TRUE(scheduler.checkpoint(job->id));
     EXPECT_TRUE(scheduler.cancel(*a));
     EXPECT_FALSE(scheduler.checkpoint(job->id));
-    EXPECT_EQ(scheduler.wait(*a).state, RequestState::Cancelled);
+    EXPECT_EQ(consume(scheduler, *a).state, RequestState::Cancelled);
 
     const auto b = scheduler.trySubmit(
         cloud, {}, std::chrono::milliseconds(1));
@@ -167,7 +168,7 @@ TEST(Scheduler, CheckpointHonorsCancelAndDeadline)
     if (job) {
         EXPECT_FALSE(scheduler.checkpoint(job->id));
     }
-    EXPECT_EQ(scheduler.wait(*b).state, RequestState::Expired);
+    EXPECT_EQ(consume(scheduler, *b).state, RequestState::Expired);
 }
 
 TEST(Scheduler, SpillPolicyIsWorkConserving)
@@ -186,16 +187,16 @@ TEST(Scheduler, SpillPolicyIsWorkConserving)
     for (int i = 0; i < 3; ++i) {
         const auto job = scheduler.acquire();
         ASSERT_TRUE(job);
-        EXPECT_FALSE(job->spill) << "request " << i;
+        EXPECT_EQ(job->spill_shard, -1) << "request " << i;
         scheduler.complete(job->id, slots.take());
     }
     // 3, 2, 1 in flight: idle slots exist, spill.
     for (int i = 3; i < 6; ++i) {
         const auto job = scheduler.acquire();
         ASSERT_TRUE(job);
-        EXPECT_TRUE(job->spill) << "request " << i;
+        EXPECT_EQ(job->spill_shard, 0) << "request " << i;
         scheduler.complete(job->id, slots.take());
-        EXPECT_TRUE(scheduler.wait(tickets[i]).spilled);
+        EXPECT_TRUE(consume(scheduler, tickets[i]).spilled);
     }
 }
 
@@ -213,29 +214,16 @@ TEST(Scheduler, CheckpointRefreshesSpillAfterPoolDrains)
             *scheduler.trySubmit(cloud, {}, std::nullopt));
     for (int i = 0; i < 4; ++i) {
         jobs.push_back(*scheduler.acquire());
-        EXPECT_FALSE(jobs.back().spill) << "request " << i;
+        EXPECT_EQ(jobs.back().spill_shard, -1) << "request " << i;
     }
     for (int i = 0; i < 3; ++i)
         scheduler.complete(jobs[i].id, slots.take());
 
-    bool spill = jobs[3].spill;
-    ASSERT_TRUE(scheduler.checkpoint(jobs[3].id, &spill));
-    EXPECT_TRUE(spill) << "1 in flight < 4 threads must now spill";
+    int spill_shard = jobs[3].spill_shard;
+    ASSERT_TRUE(scheduler.checkpoint(jobs[3].id, &spill_shard));
+    EXPECT_EQ(spill_shard, 0) << "1 in flight < 4 threads must now spill";
     scheduler.complete(jobs[3].id, slots.take());
-    EXPECT_TRUE(scheduler.wait(tickets[3]).spilled);
-}
-
-TEST(Scheduler, WorkConservingOffNeverSpills)
-{
-    Scheduler scheduler(4, 8, /*work_conserving=*/false);
-    serve::SchedulerSlots slots(scheduler);
-    const auto cloud = sharedScene(64, 6);
-    const auto t = scheduler.trySubmit(cloud, {}, std::nullopt);
-    const auto job = scheduler.acquire();
-    ASSERT_TRUE(t && job);
-    EXPECT_FALSE(job->spill); // 1 in flight < 8 threads, but pinned
-    scheduler.complete(job->id, slots.take());
-    EXPECT_FALSE(scheduler.wait(*t).spilled);
+    EXPECT_TRUE(consume(scheduler, tickets[3]).spilled);
 }
 
 // ------------------------------------------------------ AsyncPipeline
@@ -300,12 +288,12 @@ TEST(AsyncPipeline, SubmitPollWaitMatchesBlockingPath)
         for (const data::PointCloud &cloud : clouds)
             tickets.push_back(server.submit(cloud, request));
 
-        // poll() never lies: once true, wait() returns immediately
+        // poll() never lies: once true, waitInto() returns immediately
         // with a terminal outcome.
         for (std::size_t i = 0; i < tickets.size(); ++i) {
             while (!server.poll(tickets[i]))
                 std::this_thread::yield();
-            const RequestOutcome outcome = server.wait(tickets[i]);
+            const RequestOutcome outcome = consume(server, tickets[i]);
             ASSERT_EQ(outcome.state, RequestState::Done)
                 << outcome.error;
             expectResultsIdentical(outcome.result, baseline[i]);
@@ -334,7 +322,7 @@ TEST(AsyncPipeline, RunBatchMatchesAsyncSubmission)
     AsyncPipeline server(serve_options);
     for (std::size_t i = 0; i < clouds.size(); ++i) {
         const RequestOutcome outcome =
-            server.wait(server.submit(clouds[i], request));
+            consume(server, server.submit(clouds[i], request));
         ASSERT_EQ(outcome.state, RequestState::Done);
         expectResultsIdentical(outcome.result, batch[i]);
     }
@@ -368,8 +356,8 @@ TEST(AsyncPipeline, DeadlineExpiryRetiresQueuedWork)
     EXPECT_EQ(server.state(*b), RequestState::Queued);
     gate.release();
 
-    EXPECT_EQ(server.wait(*b).state, RequestState::Expired);
-    EXPECT_EQ(server.wait(a).state, RequestState::Done);
+    EXPECT_EQ(consume(server, *b).state, RequestState::Expired);
+    EXPECT_EQ(consume(server, a).state, RequestState::Done);
 }
 
 TEST(AsyncPipeline, DeadlineExpiryInterruptsRunningWork)
@@ -388,7 +376,7 @@ TEST(AsyncPipeline, DeadlineExpiryInterruptsRunningWork)
     AsyncPipeline server(options);
     const Ticket t =
         server.submit(data::makeS3disScene(512, 62), {}, kDeadline);
-    EXPECT_EQ(server.wait(t).state, RequestState::Expired);
+    EXPECT_EQ(consume(server, t).state, RequestState::Expired);
 }
 
 TEST(AsyncPipeline, AdmissionQueueRejectsWhenFull)
@@ -411,8 +399,8 @@ TEST(AsyncPipeline, AdmissionQueueRejectsWhenFull)
         << "third request must be rejected, not queued";
     gate.release();
 
-    EXPECT_EQ(server.wait(a).state, RequestState::Done);
-    EXPECT_EQ(server.wait(*b).state, RequestState::Done);
+    EXPECT_EQ(consume(server, a).state, RequestState::Done);
+    EXPECT_EQ(consume(server, *b).state, RequestState::Done);
 }
 
 TEST(AsyncPipeline, CancelMidPartitionStopsTheRequest)
@@ -432,7 +420,7 @@ TEST(AsyncPipeline, CancelMidPartitionStopsTheRequest)
     EXPECT_TRUE(server.cancel(t));
     gate.release();
 
-    const RequestOutcome outcome = server.wait(t);
+    const RequestOutcome outcome = consume(server, t);
     EXPECT_EQ(outcome.state, RequestState::Cancelled);
     EXPECT_TRUE(outcome.result.sampled.indices.empty());
 }
@@ -457,8 +445,8 @@ TEST(AsyncPipeline, CancelQueuedRequestNeverRuns)
     EXPECT_TRUE(server.cancel(b));
     gate.release();
 
-    EXPECT_EQ(server.wait(b).state, RequestState::Cancelled);
-    EXPECT_EQ(server.wait(a).state, RequestState::Done);
+    EXPECT_EQ(consume(server, b).state, RequestState::Cancelled);
+    EXPECT_EQ(consume(server, a).state, RequestState::Done);
     EXPECT_FALSE(second_started.load())
         << "a cancelled queued request must be retired unrun";
 }
@@ -472,24 +460,13 @@ TEST(AsyncPipeline, SingleRequestSpillsOnAMultiThreadPool)
 
     ServeOptions options;
     options.pipeline.num_threads = 4;
-    {
-        AsyncPipeline server(options);
-        const RequestOutcome outcome =
-            server.wait(server.submit(cloud, request));
-        ASSERT_EQ(outcome.state, RequestState::Done);
-        EXPECT_TRUE(outcome.spilled)
-            << "1 request in flight < 4 threads must spill";
-        expectResultsIdentical(outcome.result, baseline);
-    }
-    options.work_conserving = false;
-    {
-        AsyncPipeline server(options);
-        const RequestOutcome outcome =
-            server.wait(server.submit(cloud, request));
-        ASSERT_EQ(outcome.state, RequestState::Done);
-        EXPECT_FALSE(outcome.spilled);
-        expectResultsIdentical(outcome.result, baseline);
-    }
+    AsyncPipeline server(options);
+    const RequestOutcome outcome =
+        consume(server, server.submit(cloud, request));
+    ASSERT_EQ(outcome.state, RequestState::Done);
+    EXPECT_TRUE(outcome.spilled)
+        << "1 request in flight < 4 threads must spill";
+    expectResultsIdentical(outcome.result, baseline);
 }
 
 TEST(AsyncPipeline, DiscardReclaimsAbandonedTickets)
@@ -514,7 +491,7 @@ TEST(AsyncPipeline, DiscardReclaimsAbandonedTickets)
     server.discard(b);
     server.discard(b); // idempotent
     gate.release();
-    const RequestOutcome outcome = server.wait(a);
+    const RequestOutcome outcome = consume(server, a);
     EXPECT_EQ(outcome.state, RequestState::Done);
     while (server.liveRecordCount() != 0)
         std::this_thread::yield();
@@ -531,7 +508,7 @@ TEST(AsyncPipeline, FailedRequestCarriesTheException)
     };
     AsyncPipeline server(options);
     const RequestOutcome outcome =
-        server.wait(server.submit(data::makeS3disScene(512, 72)));
+        consume(server, server.submit(data::makeS3disScene(512, 72)));
     EXPECT_EQ(outcome.state, RequestState::Failed);
     EXPECT_EQ(outcome.error, "observer boom");
     ASSERT_TRUE(outcome.exception != nullptr);
@@ -591,7 +568,7 @@ TEST(AsyncPipeline, StressConcurrentSubmitPollCancel)
                     data::makeS3disScene(kPoints, 80 + idx), request);
                 if (idx % 3 == 0)
                     server.cancel(ticket);
-                const RequestOutcome outcome = server.wait(ticket);
+                const RequestOutcome outcome = consume(server, ticket);
                 if (outcome.state == RequestState::Done) {
                     done.fetch_add(1);
                     expectResultsIdentical(outcome.result,

@@ -9,16 +9,16 @@
  *  - per-shard workspace pools: creation counts stay flat per shard
  *    under pinned mixed-class load, and the foreign-return tripwire
  *    stays at zero,
- *  - the slab-recycled outcome pool: waitInto == wait byte for byte,
- *    recycled slots never alias a live result, and slot counts stay
- *    bounded by concurrency, and
- *  - per-class admission bounds reject exactly the bounded class.
+ *  - the slab-recycled outcome pool: fresh and reused (dirty)
+ *    outcomes match serve::runBatch byte for byte, recycled slots
+ *    never alias a live result, and slot counts stay bounded by
+ *    concurrency.
  *
- * Suite names (ShardedLocality, AsyncPipelineOutcome,
- * SchedulerClassCapacity) are chosen to ride the CI TSan filter's
- * existing Sharded* / AsyncPipeline.* / Scheduler.* globs.
+ * The CI TSan filter runs both suites (ShardedLocality via Sharded*,
+ * and AsyncPipelineOutcome.*).
  */
 
+#include <algorithm>
 #include <cstdlib>
 #include <memory>
 #include <set>
@@ -32,11 +32,13 @@
 #include "core/sharded_executor.h"
 #include "core/topology.h"
 #include "dataset/s3dis.h"
+#include "nn/models.h"
+#include "nn/network.h"
 #include "serve/async_pipeline.h"
 #include "serve/run_batch.h"
 #include "serve/scheduler.h"
 
-#include "scheduler_slots.h"
+#include "consume.h"
 
 namespace {
 
@@ -213,7 +215,7 @@ TEST(ShardedLocality, WorkspacesStayFlatPerShardUnderMixedClassLoad)
         for (std::uint64_t key = 1; key <= 8; ++key) {
             const serve::Ticket ticket = server.submitShared(
                 cloud, request, std::nullopt, kClasses[key % 3], key);
-            ASSERT_EQ(server.wait(ticket).state,
+            ASSERT_EQ(consume(server, ticket).state,
                       serve::RequestState::Done);
         }
     };
@@ -241,39 +243,92 @@ TEST(ShardedLocality, WorkspacesStayFlatPerShardUnderMixedClassLoad)
 // Outcome pool
 // ---------------------------------------------------------------------
 
+/** Byte-for-byte equality of two served results, inference
+ *  included. */
+void
+expectSameResult(const BatchResult &a, const BatchResult &b)
+{
+    EXPECT_EQ(a.sampled.indices, b.sampled.indices);
+    EXPECT_EQ(a.sampled.positions, b.sampled.positions);
+    EXPECT_EQ(a.sampled.leaf_offsets, b.sampled.leaf_offsets);
+    EXPECT_EQ(a.grouped.indices, b.grouped.indices);
+    EXPECT_EQ(a.grouped.counts, b.grouped.counts);
+    EXPECT_EQ(a.gathered.values, b.gathered.values);
+    EXPECT_EQ(a.num_blocks, b.num_blocks);
+    EXPECT_EQ(a.partition_stats.num_splits, b.partition_stats.num_splits);
+    ASSERT_EQ(a.inference.has_value(), b.inference.has_value());
+    if (!a.inference)
+        return;
+    EXPECT_EQ(a.inference->point_features.data(),
+              b.inference->point_features.data());
+    EXPECT_EQ(a.inference->point_features.rows(),
+              b.inference->point_features.rows());
+    EXPECT_EQ(a.inference->embedding.data(),
+              b.inference->embedding.data());
+    EXPECT_EQ(a.inference->total_macs, b.inference->total_macs);
+    EXPECT_EQ(a.inference->sa_mlp_rows, b.inference->sa_mlp_rows);
+    EXPECT_EQ(a.inference->op_stats.distance_computations,
+              b.inference->op_stats.distance_computations);
+}
+
 TEST(AsyncPipelineOutcome, WaitIntoMatchesValueWaitByteForByte)
 {
-    const auto cloud = std::make_shared<const data::PointCloud>(
-        data::makeS3disScene(1024, 43));
+    // A fresh outcome and a reused one agree byte for byte with
+    // serve::runBatch. The swap hands a reused outcome's buffers to
+    // the slot the next request writes into, so whatever the caller
+    // did to them in between must never show in a later result.
+    const data::PointCloud scene = data::makeS3disScene(512, 43);
+    const nn::Network network(nn::pointNet2SemSeg(), 42);
     BatchRequest request;
     request.sample_rate = 0.25;
     request.radius = 0.3f;
     request.neighbors = 8;
+    request.network = &network;
+
+    PipelineOptions pipeline;
+    pipeline.num_threads = 2;
+    pipeline.threshold = 64;
+    const BatchResult reference =
+        serve::runBatch({scene}, pipeline, request)[0];
+    ASSERT_TRUE(reference.inference.has_value());
 
     serve::ServeOptions options;
-    options.pipeline.num_threads = 2;
-    options.pipeline.threshold = 64;
+    options.pipeline = pipeline;
     serve::AsyncPipeline server(options);
+    const auto cloud = std::make_shared<const data::PointCloud>(scene);
 
-    const serve::RequestOutcome value =
-        server.wait(server.submitShared(cloud, request));
-    ASSERT_EQ(value.state, serve::RequestState::Done);
+    serve::RequestOutcome fresh;
+    server.waitInto(server.submitShared(cloud, request), fresh);
+    ASSERT_EQ(fresh.state, serve::RequestState::Done);
+    expectSameResult(fresh.result, reference);
 
-    serve::RequestOutcome into;
-    server.waitInto(server.submitShared(cloud, request), into);
-    ASSERT_EQ(into.state, serve::RequestState::Done);
-    EXPECT_EQ(into.result.sampled.indices, value.result.sampled.indices);
-    EXPECT_EQ(into.result.grouped.indices, value.result.grouped.indices);
-    EXPECT_EQ(into.result.gathered.values, value.result.gathered.values);
-    EXPECT_EQ(into.result.num_blocks, value.result.num_blocks);
+    // Dirty reuse. Each round scribbles over the outcome before
+    // handing it back; in round 2 the request runs in the buffers
+    // round 0 scribbled over.
+    serve::RequestOutcome reused;
+    for (int round = 0; round < 3; ++round) {
+        SCOPED_TRACE("round=" + std::to_string(round));
+        server.waitInto(server.submitShared(cloud, request), reused);
+        ASSERT_EQ(reused.state, serve::RequestState::Done);
+        expectSameResult(reused.result, reference);
 
-    // Dirty reuse: waitInto into the same outcome again (different
-    // request shape) must fully overwrite it.
-    BatchRequest wider = request;
-    wider.neighbors = 4;
-    server.waitInto(server.submitShared(cloud, wider), into);
-    ASSERT_EQ(into.state, serve::RequestState::Done);
-    EXPECT_NE(into.result.grouped.indices, value.result.grouped.indices);
+        BatchResult &dirty = reused.result;
+        std::fill(dirty.gathered.values.begin(),
+                  dirty.gathered.values.end(), -7.0f);
+        std::fill(dirty.sampled.indices.begin(),
+                  dirty.sampled.indices.end(), PointIdx{3});
+        dirty.grouped.indices.resize(dirty.grouped.indices.size() / 2);
+        dirty.sampled.leaf_offsets.resize(1);
+        dirty.num_blocks = 0;
+        const nn::InferenceResult moved_out =
+            std::move(*dirty.inference);
+        dirty.inference->total_macs += 1;
+        dirty.inference->sa_mlp_rows += 1;
+        EXPECT_GT(moved_out.point_features.rows(), 0u);
+    }
+    // Sequential traffic keeps one slot, so every round above went
+    // through the same slot.
+    EXPECT_EQ(server.outcomeSlotsCreated(), 1u);
 }
 
 TEST(AsyncPipelineOutcome, RecycledSlotsNeverAliasALiveResult)
@@ -297,8 +352,8 @@ TEST(AsyncPipelineOutcome, RecycledSlotsNeverAliasALiveResult)
     const auto gathered_snapshot = first.result.gathered.values;
 
     // The next request recycles the same slot and overwrites it with
-    // a different shape; the consumed outcome must not change (it
-    // was copied out, never aliased).
+    // a different shape; the consumed outcome must not change (the
+    // swap handed its buffers over, they are never aliased).
     BatchRequest other = request;
     other.sample_rate = 0.5;
     other.neighbors = 4;
@@ -333,7 +388,7 @@ TEST(AsyncPipelineOutcome, SlotCountBoundedByUnconsumedTickets)
     for (int i = 0; i < 6; ++i)
         held.push_back(server.submitShared(cloud, request));
     for (const serve::Ticket ticket : held)
-        ASSERT_EQ(server.wait(ticket).state,
+        ASSERT_EQ(consume(server, ticket).state,
                   serve::RequestState::Done);
     const std::size_t peak = server.outcomeSlotsCreated();
     EXPECT_GE(peak, 1u);
@@ -354,84 +409,6 @@ TEST(AsyncPipelineOutcome, SlotCountBoundedByUnconsumedTickets)
            server.runningCount() != 0 || server.queuedCount() != 0)
         std::this_thread::yield();
     EXPECT_EQ(server.outcomeSlotsCreated(), peak);
-}
-
-// ---------------------------------------------------------------------
-// Per-class admission bounds
-// ---------------------------------------------------------------------
-
-TEST(SchedulerClassCapacity, BoundsRejectOnlyTheBoundedClass)
-{
-    const auto cloud = std::make_shared<const data::PointCloud>(
-        data::makeS3disScene(128, 59));
-    BatchRequest request;
-    request.neighbors = 8;
-
-    core::metrics::Registry registry;
-    std::array<std::size_t, serve::kNumPriorities> bounds{};
-    bounds[static_cast<unsigned>(serve::Priority::Background)] = 1;
-    serve::Scheduler scheduler(
-        /*queue_capacity=*/8, /*num_threads=*/1,
-        /*work_conserving=*/true, /*num_shards=*/1,
-        serve::kPriorityWeight, &registry, bounds);
-    serve::SchedulerSlots slots(scheduler);
-
-    const auto admit = [&](serve::Priority priority) {
-        return scheduler.trySubmit(cloud, request, std::nullopt,
-                                   priority);
-    };
-    const auto bg1 = admit(serve::Priority::Background);
-    ASSERT_TRUE(bg1.has_value());
-    // Second Background bounces off its class bound...
-    EXPECT_FALSE(admit(serve::Priority::Background).has_value());
-    EXPECT_EQ(registry
-                  .counter("serve.rejected_class{class=background}")
-                  .value(),
-              1u);
-    // ...while the unbounded classes sail through.
-    const auto i1 = admit(serve::Priority::Interactive);
-    const auto b1 = admit(serve::Priority::Batch);
-    ASSERT_TRUE(i1.has_value());
-    ASSERT_TRUE(b1.has_value());
-    EXPECT_EQ(registry
-                  .counter("serve.rejected_class{class=interactive}")
-                  .value(),
-              0u);
-
-    // Draining the Background request frees its class allowance.
-    // (Weighted aging pops Interactive and Batch first.)
-    for (int i = 0; i < 3; ++i) {
-        const auto job = scheduler.acquire(0);
-        ASSERT_TRUE(job.has_value());
-        scheduler.complete(job->id, slots.take());
-    }
-    const auto bg2 = admit(serve::Priority::Background);
-    ASSERT_TRUE(bg2.has_value());
-
-    // Retire everything so the scheduler can be destroyed cleanly.
-    const auto last = scheduler.acquire(0);
-    ASSERT_TRUE(last.has_value());
-    scheduler.complete(last->id, slots.take());
-    for (const auto &ticket : {bg1, i1, b1, bg2})
-        scheduler.discard(*ticket);
-}
-
-TEST(SchedulerClassCapacity, ServePipelineSurfacesTheKnob)
-{
-    serve::ServeOptions options;
-    options.pipeline.num_threads = 1;
-    options.pipeline.threshold = 64;
-    options.class_capacity[static_cast<unsigned>(
-        serve::Priority::Background)] = 2;
-    serve::AsyncPipeline server(options);
-    EXPECT_EQ(server.metrics()
-                  .gauge("serve.class_capacity{class=background}")
-                  .value(),
-              2);
-    EXPECT_EQ(server.metrics()
-                  .gauge("serve.class_capacity{class=interactive}")
-                  .value(),
-              0);
 }
 
 } // namespace

@@ -6,7 +6,7 @@
  * path at shard counts {1,2,4} x thread counts {1,2,8}), weighted
  * priority aging (no starvation under sustained Interactive load),
  * cancellation of queued low-priority tickets, cross-shard
- * work-conserving spill, and the waitFor timeout overload. The CI
+ * work-conserving spill, and waitInto's bounded (timeout) form. The CI
  * TSan job runs this whole file (via the Sharded*, Priority*, and
  * WaitFor* filter entries).
  */
@@ -29,6 +29,7 @@
 #include "serve/run_batch.h"
 #include "serve/scheduler.h"
 
+#include "consume.h"
 #include "scheduler_slots.h"
 
 namespace fc {
@@ -252,7 +253,7 @@ TEST(ShardedServe, ResultsIdenticalAcrossShardAndThreadCounts)
                     clouds[i], request, std::nullopt, classes[i % 3]));
             }
             for (std::size_t i = 0; i < tickets.size(); ++i) {
-                const RequestOutcome outcome = server.wait(tickets[i]);
+                const RequestOutcome outcome = consume(server, tickets[i]);
                 ASSERT_EQ(outcome.state, RequestState::Done)
                     << outcome.error;
                 EXPECT_LT(outcome.shard, shards);
@@ -282,7 +283,7 @@ TEST(ShardedServe, PlacementKeyPinsRequestsToOneShard)
     const unsigned expected =
         core::ShardMap(4).shardFor(kSessionKey);
     for (const Ticket t : tickets) {
-        const RequestOutcome outcome = server.wait(t);
+        const RequestOutcome outcome = consume(server, t);
         ASSERT_EQ(outcome.state, RequestState::Done);
         EXPECT_EQ(outcome.shard, expected)
             << "equal placement keys must land on one shard";
@@ -296,7 +297,7 @@ TEST(ShardedServe, CrossShardSpillBorrowsIdleNeighbor)
     // fully idle: the acquired request must borrow shard 1's pool
     // for its block items.
     Scheduler scheduler(/*queue_capacity=*/16, /*num_threads=*/2,
-                        /*work_conserving=*/true, /*num_shards=*/2);
+                        /*num_shards=*/2);
     serve::SchedulerSlots slots(scheduler);
     const core::ShardMap map(2);
     const std::uint64_t key0 = keyOnShard(map, 0);
@@ -312,8 +313,8 @@ TEST(ShardedServe, CrossShardSpillBorrowsIdleNeighbor)
     const auto job = scheduler.acquire(0);
     ASSERT_TRUE(job);
     EXPECT_EQ(job->shard, 0u);
-    EXPECT_TRUE(job->spill) << "idle neighbor shard must be borrowed";
-    EXPECT_EQ(job->spill_shard, 1);
+    EXPECT_EQ(job->spill_shard, 1)
+        << "idle neighbor shard must be borrowed";
 
     // Drain the rest: with 2 still in flight on shard 0 (== its
     // thread count) the second request keeps borrowing shard 1; the
@@ -328,7 +329,7 @@ TEST(ShardedServe, CrossShardSpillBorrowsIdleNeighbor)
     EXPECT_EQ(third->spill_shard, 0);
     scheduler.complete(third->id, slots.take());
     for (const Ticket t : tickets)
-        EXPECT_TRUE(scheduler.wait(t).spilled);
+        EXPECT_TRUE(consume(scheduler, t).spilled);
 }
 
 TEST(ShardedServe, RunBatchUnchangedByShardedRuntime)
@@ -359,8 +360,7 @@ TEST(PriorityScheduling, BackloggedClassesShareByWeight)
     // Single shard, all three classes backlogged. The aging credits
     // must interleave classes roughly 8:4:1 — and strictly FIFO
     // within each class.
-    Scheduler scheduler(/*queue_capacity=*/64, /*num_threads=*/1,
-                        /*work_conserving=*/false);
+    Scheduler scheduler(/*queue_capacity=*/64, /*num_threads=*/1);
     serve::SchedulerSlots slots(scheduler);
     const auto cloud = sharedScene(64, 330);
 
@@ -409,7 +409,7 @@ TEST(PriorityScheduling, BackloggedClassesShareByWeight)
         << "aging must pull Background forward under backlog";
 
     for (const auto &[id, p] : submitted)
-        EXPECT_EQ(scheduler.wait(Ticket{id}).priority, p);
+        EXPECT_EQ(consume(scheduler, Ticket{id}).priority, p);
 }
 
 TEST(PriorityScheduling, BackgroundNotStarvedUnderInteractiveLoad)
@@ -448,13 +448,13 @@ TEST(PriorityScheduling, BackgroundNotStarvedUnderInteractiveLoad)
                                             Priority::Interactive));
     gate.release();
 
-    EXPECT_EQ(server.wait(first).state, RequestState::Done);
-    const RequestOutcome bg = server.wait(background);
+    EXPECT_EQ(consume(server, first).state, RequestState::Done);
+    const RequestOutcome bg = consume(server, background);
     EXPECT_EQ(bg.state, RequestState::Done);
     EXPECT_EQ(bg.priority, Priority::Background);
     std::size_t done_after_bg = 0;
     for (const Ticket t : interactive) {
-        const RequestOutcome outcome = server.wait(t);
+        const RequestOutcome outcome = consume(server, t);
         EXPECT_EQ(outcome.state, RequestState::Done);
         if (outcome.timing.started > bg.timing.started)
             ++done_after_bg;
@@ -506,9 +506,9 @@ TEST(PriorityScheduling, CancelQueuedBackgroundTickets)
         EXPECT_TRUE(server.cancel(t));
     gate.release();
 
-    EXPECT_EQ(server.wait(running).state, RequestState::Done);
+    EXPECT_EQ(consume(server, running).state, RequestState::Done);
     for (const Ticket t : background) {
-        const RequestOutcome outcome = server.wait(t);
+        const RequestOutcome outcome = consume(server, t);
         EXPECT_EQ(outcome.state, RequestState::Cancelled);
         EXPECT_TRUE(outcome.result.sampled.indices.empty());
     }
@@ -517,7 +517,7 @@ TEST(PriorityScheduling, CancelQueuedBackgroundTickets)
     EXPECT_EQ(server.liveRecordCount(), 0u);
 }
 
-// ------------------------------------------------------------- WaitFor
+// ------------------------------------------- WaitFor (bounded waitInto)
 
 TEST(WaitFor, TimesOutWhileQueuedWithoutCancelling)
 {
@@ -537,18 +537,19 @@ TEST(WaitFor, TimesOutWhileQueuedWithoutCancelling)
     const Ticket queued = server.submit(cloud, {});
 
     // Bounded wait on queued work: expires without consuming the
-    // ticket or cancelling the request.
-    const auto blocked =
-        server.waitFor(queued, std::chrono::milliseconds(50));
-    EXPECT_FALSE(blocked.has_value());
+    // ticket, touching the outcome, or cancelling the request.
+    RequestOutcome outcome;
+    outcome.state = RequestState::Failed; // sentinel
+    EXPECT_FALSE(server.waitInto(queued, outcome,
+                                 std::chrono::milliseconds(50)));
+    EXPECT_EQ(outcome.state, RequestState::Failed);
     EXPECT_EQ(server.state(queued), RequestState::Queued);
 
     gate.release();
-    const auto outcome =
-        server.waitFor(queued, std::chrono::seconds(60));
-    ASSERT_TRUE(outcome.has_value());
-    EXPECT_EQ(outcome->state, RequestState::Done);
-    EXPECT_EQ(server.wait(running).state, RequestState::Done);
+    ASSERT_TRUE(
+        server.waitInto(queued, outcome, std::chrono::seconds(60)));
+    EXPECT_EQ(outcome.state, RequestState::Done);
+    EXPECT_EQ(consume(server, running).state, RequestState::Done);
 }
 
 TEST(WaitFor, TimesOutWhileRunningThenCollects)
@@ -566,17 +567,16 @@ TEST(WaitFor, TimesOutWhileRunningThenCollects)
     gate.awaitReached();
     EXPECT_EQ(server.state(t), RequestState::Running);
 
-    const auto blocked =
-        server.waitFor(t, std::chrono::milliseconds(50));
-    EXPECT_FALSE(blocked.has_value());
+    RequestOutcome outcome;
+    EXPECT_FALSE(
+        server.waitInto(t, outcome, std::chrono::milliseconds(50)));
     EXPECT_EQ(server.state(t), RequestState::Running)
-        << "a timed-out waitFor must not cancel the request";
+        << "a timed-out waitInto must not cancel the request";
 
     gate.release();
-    const auto outcome = server.waitFor(t, std::chrono::seconds(60));
-    ASSERT_TRUE(outcome.has_value());
-    EXPECT_EQ(outcome->state, RequestState::Done);
-    EXPECT_FALSE(outcome->result.sampled.indices.empty());
+    ASSERT_TRUE(server.waitInto(t, outcome, std::chrono::seconds(60)));
+    EXPECT_EQ(outcome.state, RequestState::Done);
+    EXPECT_FALSE(outcome.result.sampled.indices.empty());
 }
 
 TEST(WaitFor, ReturnsImmediatelyOnTerminalTickets)
@@ -587,12 +587,10 @@ TEST(WaitFor, ReturnsImmediatelyOnTerminalTickets)
     const Ticket t = server.submit(data::makeS3disScene(512, 342), {});
     while (!server.poll(t))
         std::this_thread::yield();
-    const auto outcome =
-        server.waitFor(t, std::chrono::milliseconds(0));
-    ASSERT_TRUE(outcome.has_value()) << "terminal outcome must be "
-                                        "returned even with a zero "
-                                        "timeout";
-    EXPECT_EQ(outcome->state, RequestState::Done);
+    RequestOutcome outcome;
+    ASSERT_TRUE(server.waitInto(t, outcome, std::chrono::milliseconds(0)))
+        << "terminal outcome must be returned even with a zero timeout";
+    EXPECT_EQ(outcome.state, RequestState::Done);
     EXPECT_EQ(server.liveRecordCount(), 0u);
 }
 

@@ -561,9 +561,8 @@ TEST(StorageIngest, PrefetchedServingMatchesPreloadedAcrossShards)
         // Reference: preloaded in-memory clouds.
         std::vector<serve::RequestOutcome> reference;
         for (const PointCloud &cloud : clouds) {
-            const serve::Ticket ticket =
-                pipeline.submit(cloud, request);
-            reference.push_back(pipeline.wait(ticket));
+            pipeline.waitInto(pipeline.submit(cloud, request),
+                              reference.emplace_back());
         }
 
         for (const std::size_t depth : {std::size_t{0},

@@ -329,7 +329,8 @@ TEST(WorkspaceAlloc, WarmServeRoundTripIsAllocationFree)
     // heap exactly zero times — admission (recycled record node +
     // id ring), dispatch (InlineTask ring), processing (per-shard
     // workspace), the result payload (slab-recycled outcome slot),
-    // and consumption (capacity-reusing copy) included.
+    // and consumption (a swap with the caller's warm buffers)
+    // included.
     const auto scene = std::make_shared<const data::PointCloud>(
         data::makeS3disScene(2048, 61));
     const nn::Network network(tinySegModel(), 42);
@@ -439,8 +440,8 @@ TEST(WorkspaceDeterminism, ServeReusesWorkspacesWithIdenticalResults)
     // byte-identical to the cold one and to the blocking path.
     for (int round = 0; round < 3; ++round) {
         SCOPED_TRACE("round=" + std::to_string(round));
-        const serve::Ticket ticket = server.submit(scene, request);
-        serve::RequestOutcome outcome = server.wait(ticket);
+        serve::RequestOutcome outcome;
+        server.waitInto(server.submit(scene, request), outcome);
         ASSERT_EQ(outcome.state, serve::RequestState::Done);
         EXPECT_EQ(outcome.result.sampled.indices,
                   baseline[0].sampled.indices);
