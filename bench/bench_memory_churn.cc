@@ -19,8 +19,9 @@
  *   - serve warm: AsyncPipeline steady state with waitInto into a
  *     fresh RequestOutcome per request — a consumer that reuses no
  *     buffer, so the handed-off result payload still allocates,
- *   - serve warm pooled outcome: submitShared + waitInto against the
- *     slab-recycled outcome pool — 0 allocations per request, and
+ *   - serve warm pooled outcome: submitShared + waitInto into one
+ *     reused RequestOutcome, whose buffers swap with the scheduler's
+ *     per-shard result slot — 0 allocations per request, and
  *     hard-gated (the bench exits nonzero on regression).
  *
  * The CSV is gated by scripts/check_bench_csv.sh in the Release
@@ -157,7 +158,7 @@ churnTable()
 
     // Serve warm: pooled workspaces, a fresh outcome per request;
     // only the result payload (and the ticket bookkeeping) allocates
-    // per request — the swap leaves each recycled slot empty.
+    // per request — the swap leaves each returned slot empty.
     fc::serve::ServeOptions serve_options;
     serve_options.pipeline = options;
     fc::serve::AsyncPipeline server(serve_options);
@@ -181,7 +182,7 @@ churnTable()
                   std::to_string(kReps)});
 
     // Serve warm, pooled outcome: the zero-alloc serve path. waitInto
-    // swaps the payload of a slab-recycled outcome slot with a reused
+    // swaps the payload of the scheduler's result slot with a reused
     // caller outcome, whose warm buffers go back to the slot, so the
     // warm submit -> poll round trip performs no heap allocation at
     // all. This row is a hard guarantee and is gated below.

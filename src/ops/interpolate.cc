@@ -114,21 +114,6 @@ interpolateFeatures(const data::PointCloud &cloud,
         &ws.arena());
 }
 
-InterpolateResult
-interpolateFeatures(const data::PointCloud &cloud,
-                    const std::vector<float> &known_features,
-                    std::size_t channels,
-                    const std::vector<PointIdx> &known_indices,
-                    const NeighborResult &neighbors,
-                    core::ThreadPool *pool)
-{
-    core::Workspace ws;
-    InterpolateResult out;
-    interpolateFeatures(cloud, known_features, channels, known_indices,
-                        neighbors, pool, ws, out);
-    return out;
-}
-
 void
 globalInterpolate(const data::PointCloud &cloud,
                   const std::vector<float> &known_features,

@@ -41,6 +41,9 @@ struct InterpolateResult
 
 /**
  * Inverse-distance-weighted interpolation from a known neighbor table.
+ * The known-point lookup table comes from @p ws's arena and @p out
+ * reuses its capacity (the allocation-free steady-state path; see
+ * core/workspace.h).
  *
  * @param cloud          target points (row per point)
  * @param known_features row-major [num_known x channels], aligned with
@@ -50,17 +53,6 @@ struct InterpolateResult
  *                       cloud indices that MUST appear in
  *                       @p known_indices
  */
-InterpolateResult
-interpolateFeatures(const data::PointCloud &cloud,
-                    const std::vector<float> &known_features,
-                    std::size_t channels,
-                    const std::vector<PointIdx> &known_indices,
-                    const NeighborResult &neighbors,
-                    core::ThreadPool *pool = nullptr);
-
-/** Workspace overload: the known-point lookup table comes from
- *  @p ws's arena and @p out reuses its capacity (the allocation-free
- *  steady-state path; see core/workspace.h). */
 void interpolateFeatures(const data::PointCloud &cloud,
                          const std::vector<float> &known_features,
                          std::size_t channels,

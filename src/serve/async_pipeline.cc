@@ -1,5 +1,6 @@
 #include "serve/async_pipeline.h"
 
+#include <algorithm>
 #include <exception>
 #include <utility>
 
@@ -11,22 +12,6 @@
 #include "partition/partitioner.h"
 
 namespace fc::serve {
-
-const char *
-stageName(Stage stage)
-{
-    switch (stage) {
-      case Stage::Started:
-        return "started";
-      case Stage::Partitioned:
-        return "partitioned";
-      case Stage::Sampled:
-        return "sampled";
-      case Stage::Grouped:
-        return "grouped";
-    }
-    return "unknown";
-}
 
 AsyncPipeline::AsyncPipeline(const ServeOptions &options)
     : options_(options),
@@ -47,8 +32,8 @@ AsyncPipeline::AsyncPipeline(const ServeOptions &options)
     ws_checkouts_ = &registry_.counter("serve.workspace_checkouts");
     ws_created_gauge_ = &registry_.gauge("serve.workspaces_created");
 
-    // One memory pool per shard, instruments registered up front so
-    // the serve path mutates pointers only.
+    // One workspace pool per shard, instruments registered up front
+    // so the serve path mutates pointers only.
     pools_.reserve(executor_.numShards());
     for (unsigned s = 0; s < executor_.numShards(); ++s) {
         auto pool = std::make_unique<ShardPool>();
@@ -59,14 +44,8 @@ AsyncPipeline::AsyncPipeline(const ServeOptions &options)
             &registry_.gauge("serve.workspace.created" + tag);
         pool->foreign_return =
             &registry_.counter("serve.workspace.foreign_return" + tag);
-        pool->outcome_checkout =
-            &registry_.counter("serve.outcome.checkout" + tag);
-        pool->outcome_created =
-            &registry_.gauge("serve.outcome.created" + tag);
         pools_.push_back(std::move(pool));
     }
-    scheduler_.setOutcomeRecycler(
-        [this](OutcomeSlot *slot) { recycleOutcome(slot); });
 }
 
 AsyncPipeline::~AsyncPipeline()
@@ -78,26 +57,27 @@ AsyncPipeline::~AsyncPipeline()
 }
 
 std::optional<Ticket>
-AsyncPipeline::trySubmitShared(
-    std::shared_ptr<const data::PointCloud> cloud,
-    const BatchRequest &request,
-    std::optional<Clock::duration> deadline, Priority priority,
-    std::uint64_t placement_key)
+AsyncPipeline::trySubmit(data::PointCloud cloud,
+                         const BatchRequest &request,
+                         std::optional<Clock::duration> deadline,
+                         Priority priority, std::uint64_t placement_key)
 {
+    auto shared =
+        std::make_shared<const data::PointCloud>(std::move(cloud));
     // Warm the cloud's SoA mirror on the submitter: the mirror is
     // lazy-rebuild-on-first-read and must be first-touched serially
     // (see PointCloud::soa), and a cloud shared across shards would
     // otherwise be first-touched by two workers at once. Admission is
     // the last point that sees the cloud single-threaded; once built,
     // re-submits of the same cloud reduce to one clean flag check.
-    (void)cloud->soa();
+    (void)shared->soa();
 
     // One executor task per request, on the shard the scheduler
     // placed it on (returned by the admission call itself — no
     // second lock to read it back).
     unsigned shard = 0;
     std::optional<Ticket> ticket =
-        scheduler_.trySubmit(std::move(cloud), request, deadline,
+        scheduler_.trySubmit(std::move(shared), request, deadline,
                              priority, placement_key, &shard);
     if (ticket)
         executor_.submitDetached(shard,
@@ -114,7 +94,7 @@ AsyncPipeline::submitShared(std::shared_ptr<const data::PointCloud> cloud,
                             Priority priority,
                             std::uint64_t placement_key)
 {
-    (void)cloud->soa(); // serial first-touch; see trySubmitShared
+    (void)cloud->soa(); // serial first-touch; see trySubmit
     unsigned shard = 0;
     std::optional<Ticket> ticket =
         scheduler_.submitBlocking(std::move(cloud), request, deadline,
@@ -123,17 +103,6 @@ AsyncPipeline::submitShared(std::shared_ptr<const data::PointCloud> cloud,
               "submit on a shutting-down AsyncPipeline");
     executor_.submitDetached(shard, [this, shard] { execute(shard); });
     return *ticket;
-}
-
-std::optional<Ticket>
-AsyncPipeline::trySubmit(data::PointCloud cloud,
-                         const BatchRequest &request,
-                         std::optional<Clock::duration> deadline,
-                         Priority priority, std::uint64_t placement_key)
-{
-    return trySubmitShared(
-        std::make_shared<const data::PointCloud>(std::move(cloud)),
-        request, deadline, priority, placement_key);
 }
 
 Ticket
@@ -194,46 +163,6 @@ AsyncPipeline::checkinWorkspace(std::unique_ptr<ShardWorkspace> ws,
     pool.ws_free.push_back(std::move(ws));
 }
 
-OutcomeSlot *
-AsyncPipeline::checkoutOutcome(unsigned shard)
-{
-    ShardPool &pool = *pools_[shard];
-    pool.outcome_checkout->add();
-    {
-        std::lock_guard<std::mutex> lock(pool.mutex);
-        if (!pool.outcome_free.empty()) {
-            OutcomeSlot *slot = pool.outcome_free.back();
-            pool.outcome_free.pop_back();
-            return slot; // capacity intact from its previous life
-        }
-    }
-    // Cold path: grow the slab. Slot count is bounded by the peak
-    // number of concurrently un-consumed tickets on this shard.
-    auto owned = std::make_unique<OutcomeSlot>();
-    owned->owner_shard = shard;
-    OutcomeSlot *slot = owned.get();
-    std::size_t shard_total;
-    {
-        std::lock_guard<std::mutex> lock(pool.mutex);
-        pool.outcome_all.push_back(std::move(owned));
-        shard_total = pool.outcome_all.size();
-    }
-    pool.outcome_created->set(static_cast<std::int64_t>(shard_total));
-    outcomes_created_total_.fetch_add(1, std::memory_order_relaxed);
-    return slot;
-}
-
-void
-AsyncPipeline::recycleOutcome(OutcomeSlot *slot)
-{
-    // Called both from executor workers (abandoned leases) and from
-    // under the scheduler mutex (the consuming waitInto); the pool mutex
-    // is a leaf, so no inversion either way.
-    ShardPool &pool = *pools_[slot->owner_shard];
-    std::lock_guard<std::mutex> lock(pool.mutex);
-    pool.outcome_free.push_back(slot);
-}
-
 std::size_t
 AsyncPipeline::workspacesCreated() const
 {
@@ -248,12 +177,6 @@ AsyncPipeline::workspacesCreated(unsigned shard) const
     ShardPool &pool = *pools_[shard];
     std::lock_guard<std::mutex> lock(pool.mutex);
     return pool.ws_created;
-}
-
-std::size_t
-AsyncPipeline::outcomeSlotsCreated() const
-{
-    return outcomes_created_total_.load(std::memory_order_relaxed);
 }
 
 void
@@ -304,23 +227,6 @@ AsyncPipeline::execute(unsigned shard)
         }
     };
 
-    // The result payload lives in a pooled slot from this shard's
-    // slab; stages write into it in place (the Into ops clear what
-    // they fill), so a recycled slot's stale content is never
-    // observable. On the happy path the lease transfers to the
-    // scheduler at complete(); every early exit (checkpoint retire,
-    // exception) recycles it here instead.
-    struct OutcomeLease
-    {
-        AsyncPipeline *owner;
-        OutcomeSlot *slot;
-        ~OutcomeLease()
-        {
-            if (slot != nullptr)
-                owner->recycleOutcome(slot);
-        }
-    };
-
     // Per-stage service-time telemetry: lap() charges the time since
     // the previous boundary to one stage histogram. The two
     // steady-clock reads per stage cost nanoseconds against
@@ -339,8 +245,14 @@ AsyncPipeline::execute(unsigned shard)
         stage_mark = now;
     };
 
-    OutcomeLease outcome{this, checkoutOutcome(shard)};
-    BatchResult &out = outcome.slot->result;
+    // The result payload lives in the slot the scheduler checked out
+    // of this shard's slab; stages write into it in place (the Into
+    // ops clear what they fill), so a recycled slot's stale content
+    // is never observable. The slot stays the scheduler's: an early
+    // exit (checkpoint retire, failure) returns it inside that
+    // retirement, and complete() leaves it with the record for
+    // waitInto.
+    BatchResult &out = *job->result;
     try {
         WorkspaceLease lease{this, checkoutWorkspace(shard), shard};
         core::Workspace &ws = lease.ws->ws;
@@ -430,8 +342,7 @@ AsyncPipeline::execute(unsigned shard)
         scheduler_.fail(id, std::current_exception());
         return;
     }
-    scheduler_.complete(id, outcome.slot);
-    outcome.slot = nullptr; // lease transferred to the record
+    scheduler_.complete(id);
 }
 
 } // namespace fc::serve

@@ -40,15 +40,15 @@
  *     workspace always belongs to the home shard's pool. Each pool
  *     never exceeds its shard's thread count, so steady-state memory
  *     is bounded by the largest shapes seen, and
- *   - a slab-recycled outcome pool (also per shard): the BatchResult
- *     payload itself lives in a pooled OutcomeSlot whose lease rides
- *     the ticket from complete() to the consuming waitInto; every
- *     Done request completes through one. waitInto() swaps the
- *     payload with the caller's: a reused RequestOutcome hands its
- *     warm buffers back to the slot, so a warm same-shape submit ->
- *     poll -> waitInto round trip performs ZERO heap allocations end
- *     to end, and a fresh one leaves the slot empty (it regrows on
- *     next use).
+ *   - per-shard result slots owned by the Scheduler: the BatchResult
+ *     payload itself lives in a slot the scheduler checks out when
+ *     the request starts and keeps with the record until the
+ *     consuming waitInto (see serve/scheduler.h). waitInto() swaps
+ *     the payload with the caller's: a reused RequestOutcome hands
+ *     its warm buffers back to the slot, so a warm same-shape submit
+ *     -> poll -> waitInto round trip performs ZERO heap allocations
+ *     end to end, and a fresh one leaves the slot empty (it regrows
+ *     on next use).
  *
  * Results are byte-identical to the blocking path at any thread
  * count: every stage is deterministic with respect to its pool, so
@@ -87,8 +87,6 @@ enum class Stage : std::uint8_t {
     Sampled,     ///< block-wise FPS done
     Grouped,     ///< ball query done
 };
-
-const char *stageName(Stage stage);
 
 /** Configuration of an AsyncPipeline. */
 struct ServeOptions
@@ -172,9 +170,8 @@ class AsyncPipeline
      * lands all its requests on one shard's warm workspaces.
      *
      * The cloud is moved into the call and dropped on rejection —
-     * retry-with-backoff loops should use trySubmitShared, which
-     * keeps one shared cloud alive across attempts instead of
-     * re-copying (or losing) it.
+     * a caller that must keep it should use submitShared, which
+     * waits for queue space instead of rejecting.
      *
      * Admission allocates (the request record + queue node); the
      * allocation-free guarantee covers the *processing* of warm
@@ -197,16 +194,10 @@ class AsyncPipeline
            std::uint64_t placement_key = 0);
 
     /**
-     * Zero-copy variants for callers that manage cloud lifetime
-     * themselves (e.g. runBatch aliases its input vector): the cloud
-     * must stay alive until the ticket retires.
+     * Zero-copy blocking admission for callers that manage cloud
+     * lifetime themselves (e.g. runBatch aliases its input vector):
+     * the cloud must stay alive until the ticket retires.
      */
-    std::optional<Ticket>
-    trySubmitShared(std::shared_ptr<const data::PointCloud> cloud,
-                    const BatchRequest &request = {},
-                    std::optional<Clock::duration> deadline = std::nullopt,
-                    Priority priority = Priority::Interactive,
-                    std::uint64_t placement_key = 0);
     Ticket
     submitShared(std::shared_ptr<const data::PointCloud> cloud,
                  const BatchRequest &request = {},
@@ -226,7 +217,7 @@ class AsyncPipeline
 
     /**
      * Block until terminal and consume the ticket into @p out — the
-     * one consume call. The Done payload is swapped with the pooled
+     * one consume call. The Done payload is swapped with the result
      * slot's, so a warm same-shape submitShared -> waitInto loop with
      * a reused RequestOutcome performs zero heap allocations on the
      * serve path (bench_memory_churn gates this at exactly 0). With
@@ -299,13 +290,17 @@ class AsyncPipeline
      *  migrate across pools. */
     std::size_t workspacesCreated(unsigned shard) const;
 
-    /** Outcome slots created so far, summed over shards: bounded by
-     *  the number of concurrently un-consumed tickets. */
-    std::size_t outcomeSlotsCreated() const;
+    /** Result slots created so far, summed over shards: bounded by
+     *  running requests plus unconsumed Done tickets. */
+    std::size_t outcomeSlotsCreated() const
+    {
+        return scheduler_.outcomeSlotsCreated();
+    }
 
     /**
      * The pipeline's metrics registry: per-(shard x class) queue
-     * depth / wait / latency instruments (Scheduler), per-stage
+     * depth / wait / latency and result-slot instruments
+     * (Scheduler), per-stage
      * latency histograms and admission/workspace telemetry (this
      * class), per-shard executor task counts (ShardedExecutor), and
      * the inference stage's per-stage nn timings. Render it with
@@ -332,30 +327,17 @@ class AsyncPipeline
         unsigned owner = 0;
     };
 
-    /**
-     * One shard's memory pools plus their instruments: the workspace
-     * free list (intermediates) and the outcome slab (result
-     * payloads, leased to the scheduler from complete() until the
-     * consuming waitInto). The pool mutex is a LEAF lock — taken under
-     * the scheduler mutex by the recycler, so pool code must never
-     * call back into the scheduler.
-     */
+    /** One shard's workspace free list (request intermediates) plus
+     *  its instruments. */
     struct ShardPool
     {
         std::mutex mutex;
         std::vector<std::unique_ptr<ShardWorkspace>> ws_free;
         std::size_t ws_created = 0;
 
-        /** Every slot this shard ever created (ownership; outlives
-         *  any lease) and the subset currently free. */
-        std::vector<std::unique_ptr<OutcomeSlot>> outcome_all;
-        std::vector<OutcomeSlot *> outcome_free;
-
         core::metrics::Counter *checkout = nullptr;
         core::metrics::Gauge *created = nullptr;
         core::metrics::Counter *foreign_return = nullptr;
-        core::metrics::Counter *outcome_checkout = nullptr;
-        core::metrics::Gauge *outcome_created = nullptr;
     };
 
     /** Executor task body: process (or retire) the best queued
@@ -372,13 +354,6 @@ class AsyncPipeline
      *  feeds the foreign-return tripwire counter. */
     void checkinWorkspace(std::unique_ptr<ShardWorkspace> ws,
                           unsigned returning_shard);
-
-    /** Pop a warm outcome slot from @p shard's slab (or grow it). */
-    OutcomeSlot *checkoutOutcome(unsigned shard);
-
-    /** Return a slot to its owner's slab, capacity intact. Installed
-     *  as the scheduler's recycler (called under its mutex). */
-    void recycleOutcome(OutcomeSlot *slot);
 
     ServeOptions options_;
 
@@ -403,18 +378,16 @@ class AsyncPipeline
     core::metrics::Counter *ws_checkouts_ = nullptr;
     core::metrics::Gauge *ws_created_gauge_ = nullptr;
 
-    /** Pool-creation totals across shards (atomic: creations on
-     *  different shards race only on these). */
+    /** Workspace-creation total across shards (atomic: creations on
+     *  different shards race only on this). */
     std::atomic<std::size_t> ws_created_total_{0};
-    std::atomic<std::size_t> outcomes_created_total_{0};
 
-    /** Declared before executor_ and scheduler_ deliberately: an
-     *  executor task returns its workspace lease as its very last
-     *  action, and the scheduler's recycler returns outcome slots
-     *  during shutdown — ~AsyncPipeline retires all requests, the
-     *  shard pools join their workers, and only after both may the
-     *  pools die. unique_ptr elements keep each ShardPool's mutex at
-     *  a stable address. */
+    /** Declared before executor_ deliberately: an executor task
+     *  that stops at a checkpoint returns its workspace lease after
+     *  its request retired — ~AsyncPipeline retires all requests,
+     *  the shard pools join their workers, and only after both may
+     *  the pools die. unique_ptr elements keep each ShardPool's
+     *  mutex at a stable address. */
     std::vector<std::unique_ptr<ShardPool>> pools_;
 
     core::ShardedExecutor executor_;

@@ -129,6 +129,10 @@ Scheduler::Scheduler(std::size_t queue_capacity, unsigned num_threads,
         sm.spill_same = &registry->counter(shardName("spill_same", s));
         sm.borrow_out = &registry->counter(shardName("borrow_out", s));
         sm.borrow_in = &registry->counter(shardName("borrow_in", s));
+        sm.outcome_checkout =
+            &registry->counter(shardName("outcome.checkout", s));
+        sm.outcome_created =
+            &registry->gauge(shardName("outcome.created", s));
     }
 }
 
@@ -187,7 +191,7 @@ Scheduler::trySubmit(std::shared_ptr<const data::PointCloud> cloud,
     record.shard = shard;
 
     ShardState &st = shards_[shard];
-    st.queues[cls].push_back(id);
+    st.queues[cls].push(id);
     ++st.queued;
     ++queued_;
     if (!metrics_.empty()) {
@@ -226,13 +230,6 @@ Scheduler::submitBlocking(std::shared_ptr<const data::PointCloud> cloud,
     }
 }
 
-unsigned
-Scheduler::shardOf(Ticket ticket) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return recordFor(ticket).shard;
-}
-
 void
 Scheduler::retireLocked(std::uint64_t id, Record &record,
                         RequestState state)
@@ -266,6 +263,8 @@ Scheduler::retireLocked(std::uint64_t id, Record &record,
         }
     }
     record.cloud.reset(); // free the input as soon as possible
+    if (state != RequestState::Done)
+        releaseResultLocked(record); // nothing to hand over
     if (record.abandoned)
         reclaimRecordLocked(id); // discard()ed: nobody will consume
     cv_.notify_all();
@@ -366,8 +365,7 @@ Scheduler::acquire(unsigned shard)
     fc_assert(have, "shard %u queued counter out of sync", shard);
     st.credit[chosen] = 0;
 
-    const std::uint64_t id = st.queues[chosen].front();
-    st.queues[chosen].pop_front();
+    const std::uint64_t id = st.queues[chosen].pop();
     --st.queued;
     --queued_;
     if (!metrics_.empty()) {
@@ -399,12 +397,15 @@ Scheduler::acquire(unsigned shard)
             .wait_us->record(usBetween(record.timing.submitted, now));
     assignSpillLocked(record, spillShardLocked(shard));
 
+    record.result = checkoutResultLocked(shard);
+
     Job job;
     job.id = id;
     job.cloud = record.cloud;
     job.request = record.request;
     job.shard = shard;
     job.spill_shard = record.spill_shard;
+    job.result = record.result;
     return job;
 }
 
@@ -443,30 +444,16 @@ Scheduler::checkpoint(std::uint64_t id, int *spill_shard)
 }
 
 void
-Scheduler::complete(std::uint64_t id, OutcomeSlot *slot)
+Scheduler::complete(std::uint64_t id)
 {
-    fc_assert(slot != nullptr, "complete with a null outcome slot");
     std::lock_guard<std::mutex> lock(mutex_);
-    fc_assert(outcome_recycler_ != nullptr,
-              "complete without an outcome recycler");
     Record &record = records_.at(id);
     fc_assert(record.state == RequestState::Running,
               "complete on a request in state %s",
               stateName(record.state));
-    record.slot = slot; // lease rides the ticket until consumption
     --shards_[record.shard].running;
     --running_;
     retireLocked(id, record, RequestState::Done);
-}
-
-void
-Scheduler::setOutcomeRecycler(
-    std::function<void(OutcomeSlot *)> recycler)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    fc_assert(outcome_recycler_ == nullptr,
-              "outcome recycler installed twice");
-    outcome_recycler_ = std::move(recycler);
 }
 
 void
@@ -533,12 +520,12 @@ Scheduler::consumeIntoLocked(std::uint64_t id, Record &record,
                              RequestOutcome &out)
 {
     out.state = record.state;
-    if (record.slot != nullptr) {
-        // The caller's previous buffers recycle with the slot, so the
+    if (record.result != nullptr) {
+        // The caller's previous buffers return with the slot, so the
         // next request on this shard writes into warm capacity. The
         // executor's Into stages overwrite everything they fill, so
         // stale content in those buffers is never observable.
-        std::swap(out.result, record.slot->result);
+        std::swap(out.result, *record.result);
     } else {
         out.result = BatchResult{};
     }
@@ -557,11 +544,40 @@ Scheduler::reclaimRecordLocked(std::uint64_t id)
     auto nh = records_.extract(id);
     fc_assert(!nh.empty(), "reclaim of unknown record %llu",
               static_cast<unsigned long long>(id));
-    Record &record = nh.mapped();
-    if (record.slot != nullptr)
-        outcome_recycler_(record.slot); // pool mutex is a leaf lock
-    record.reset();
+    releaseResultLocked(nh.mapped());
+    nh.mapped().reset();
     record_nodes_.push_back(std::move(nh));
+}
+
+BatchResult *
+Scheduler::checkoutResultLocked(unsigned shard)
+{
+    ShardState &st = shards_[shard];
+    BatchResult *result;
+    if (!st.free_results.empty()) {
+        result = st.free_results.back(); // capacity intact
+        st.free_results.pop_back();
+    } else {
+        // Cold path: grow the slab. Its size is bounded by the peak
+        // of running plus unconsumed Done requests on this shard.
+        st.results.push_back(std::make_unique<BatchResult>());
+        result = st.results.back().get();
+        if (!metrics_.empty())
+            metrics_[shard].outcome_created->set(
+                static_cast<std::int64_t>(st.results.size()));
+    }
+    if (!metrics_.empty())
+        metrics_[shard].outcome_checkout->add();
+    return result;
+}
+
+void
+Scheduler::releaseResultLocked(Record &record)
+{
+    if (record.result == nullptr)
+        return;
+    shards_[record.shard].free_results.push_back(record.result);
+    record.result = nullptr;
 }
 
 bool
@@ -610,6 +626,16 @@ Scheduler::liveRecordCount() const
 }
 
 std::size_t
+Scheduler::outcomeSlotsCreated() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    std::size_t total = 0;
+    for (const ShardState &st : shards_)
+        total += st.results.size();
+    return total;
+}
+
+std::size_t
 Scheduler::queuedCount() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -647,7 +673,7 @@ Scheduler::shutdown()
     std::unique_lock<std::mutex> lock(mutex_);
     shutdown_ = true;
     for (ShardState &st : shards_)
-        for (const IdRing &queue : st.queues)
+        for (const core::Ring<std::uint64_t> &queue : st.queues)
             for (std::size_t i = 0; i < queue.size(); ++i)
                 records_.at(queue.at(i)).cancel_requested = true;
     cv_.notify_all();

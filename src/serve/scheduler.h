@@ -14,16 +14,29 @@
  *                             class picks its queue (bounded;
  *                             trySubmit fails when full),
  *   acquire(shard)            pop the best head of one shard's
- *                             priority queues; requests already
+ *                             priority queues and check out one of
+ *                             that shard's result slots for it (the
+ *                             Job's `result`); requests already
  *                             cancelled or past their deadline are
- *                             retired here without running,
+ *                             retired here without running, and get
+ *                             no slot,
  *   checkpoint                mid-run cancel/deadline probe at stage
  *                             boundaries; retires the request when it
  *                             answers false,
- *   complete/fail             terminal transitions, and
+ *   complete(id)/fail         terminal transitions, and
  *   poll/state/waitInto/cancel/discard  the client-facing side;
  *                             waitInto is the one way to consume a
  *                             ticket.
+ *
+ * Result slots: each shard owns a slab of capacity-retaining
+ * BatchResults, guarded by the scheduler mutex like every other
+ * transition. A slot is checked out when a request starts running
+ * and goes back to its shard's free list when the request retires
+ * anything but Done (Cancelled or Expired at a checkpoint, Failed).
+ * A Done request keeps its slot until waitInto swaps the payload out
+ * (the caller's old buffers return with the slot) or until discard
+ * reclaims the record. Slots are therefore bounded by running
+ * requests plus unconsumed Done tickets; queued requests hold none.
  *
  * Placement: each request hashes onto a shard via core::ShardMap —
  * by its ticket id by default (spreads uniform traffic evenly), or by
@@ -66,13 +79,11 @@
 #ifndef FC_SERVE_SCHEDULER_H
 #define FC_SERVE_SCHEDULER_H
 
-#include <algorithm>
 #include <array>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -81,6 +92,7 @@
 #include <vector>
 
 #include "core/metrics.h"
+#include "core/parallel.h"
 #include "core/pipeline.h"
 #include "core/sharded_executor.h"
 #include "dataset/point_cloud.h"
@@ -168,81 +180,6 @@ struct RequestOutcome
 };
 
 /**
- * One slab slot of the serving outcome pool: a capacity-retaining
- * BatchResult an executor writes into and waitInto swaps with the
- * caller's result. Slots are owned and recycled by AsyncPipeline's
- * per-shard pools; the Scheduler only carries the lease from
- * complete() to the consuming waitInto — the lease rides the ticket.
- * A recycled slot keeps the capacity of whatever buffers the swap
- * left in it, which is what drives warm serve-path allocations to
- * zero.
- */
-struct OutcomeSlot
-{
-    BatchResult result;
-
-    /** Pool the slot recycles into (set once at creation). */
-    unsigned owner_shard = 0;
-};
-
-/**
- * Growable ring of request ids — the per-(shard x class) FIFO.
- * Capacity doubles on overflow and is never returned (the TaskRing
- * discipline), so steady-state admission pushes and pops without
- * touching the heap.
- */
-class IdRing
-{
-  public:
-    bool empty() const { return size_ == 0; }
-    std::size_t size() const { return size_; }
-
-    /** i-th queued id from the front (shutdown iteration). */
-    std::uint64_t
-    at(std::size_t i) const
-    {
-        return slots_[(head_ + i) & mask_];
-    }
-
-    std::uint64_t front() const { return slots_[head_]; }
-
-    void
-    push_back(std::uint64_t id)
-    {
-        if (size_ == slots_.size())
-            grow();
-        slots_[(head_ + size_) & mask_] = id;
-        ++size_;
-    }
-
-    void
-    pop_front()
-    {
-        head_ = (head_ + 1) & mask_;
-        --size_;
-    }
-
-  private:
-    void
-    grow()
-    {
-        const std::size_t capacity =
-            std::max<std::size_t>(64, slots_.size() * 2);
-        std::vector<std::uint64_t> next(capacity);
-        for (std::size_t i = 0; i < size_; ++i)
-            next[i] = slots_[(head_ + i) & mask_];
-        slots_ = std::move(next);
-        mask_ = capacity - 1;
-        head_ = 0;
-    }
-
-    std::vector<std::uint64_t> slots_; ///< power-of-two capacity
-    std::size_t mask_ = 0;
-    std::size_t head_ = 0;
-    std::size_t size_ = 0;
-};
-
-/**
  * Thread-safe request ledger (see file comment for the protocol).
  *
  * Task/record pairing: executors do not acquire a *specific* request
@@ -270,6 +207,11 @@ class Scheduler
          *  negative = run inline. Equals `shard` for a same-shard
          *  spill, another index for a cross-shard borrow. */
         int spill_shard = -1;
+
+        /** The result slot to write into. Owned by the scheduler;
+         *  valid until the request's terminal transition. Its stale
+         *  content from an earlier request must be overwritten. */
+        BatchResult *result = nullptr;
     };
 
     /**
@@ -282,7 +224,8 @@ class Scheduler
      *                        and maintains its serving telemetry
      *                        (per-(shard x class) queue depth, wait
      *                        and latency histograms, pop/spill/borrow
-     *                        and outcome counters) in it; must
+     *                        and outcome counters, result-slot
+     *                        checkouts and slab size) in it; must
      *                        outlive the scheduler
      */
     Scheduler(std::size_t queue_capacity, unsigned num_threads,
@@ -307,7 +250,7 @@ class Scheduler
      *        shards (client/session affinity).
      * @param shard_out when non-null, receives the placement shard —
      *        the caller (AsyncPipeline) needs it to enqueue the
-     *        executor task without re-locking for shardOf().
+     *        executor task on that shard.
      */
     std::optional<Ticket>
     trySubmit(std::shared_ptr<const data::PointCloud> cloud,
@@ -327,16 +270,14 @@ class Scheduler
                    std::uint64_t placement_key = 0,
                    unsigned *shard_out = nullptr);
 
-    /** Shard a live (not yet consumed) ticket was placed on. */
-    unsigned shardOf(Ticket ticket) const;
-
     /**
      * Pop the best queued request of @p shard (must be non-empty:
      * one executor task exists per request admitted to the shard).
      * Aging credits are charged and the winning class's head is
-     * popped. Returns the job to run, or nullopt when that request
-     * was already cancelled or past its deadline — the record is
-     * retired (Cancelled/Expired) and the executor has nothing to do.
+     * popped. Returns the job to run, with a result slot checked out
+     * of @p shard's slab, or nullopt when that request was already
+     * cancelled or past its deadline — the record is retired
+     * (Cancelled/Expired) and the executor has nothing to do.
      */
     std::optional<Job> acquire(unsigned shard = 0);
 
@@ -356,24 +297,15 @@ class Scheduler
     bool checkpoint(std::uint64_t id, int *spill_shard = nullptr);
 
     /**
-     * Terminal transition: the request finished. @p slot holds the
-     * finished BatchResult and its lease transfers to the record —
-     * it rides the ticket until the consuming waitInto() (which
-     * recycles it through the recycler installed by
-     * setOutcomeRecycler) or, for abandoned/discarded tickets, until
-     * retirement reclaims the record. @p slot must stay valid until
-     * then (AsyncPipeline owns the slab storage).
+     * Terminal transition: the request finished, its Job's result
+     * slot holds the payload. The slot stays with the record until
+     * the consuming waitInto() or, for abandoned/discarded tickets,
+     * until retirement reclaims the record.
      */
-    void complete(std::uint64_t id, OutcomeSlot *slot);
+    void complete(std::uint64_t id);
 
-    /**
-     * Install the slot-return hook (called once, before the first
-     * complete()). Invoked under the scheduler mutex; must not call
-     * back into the scheduler.
-     */
-    void setOutcomeRecycler(std::function<void(OutcomeSlot *)> recycler);
-
-    /** Terminal transition: processing threw @p exception. */
+    /** Terminal transition: processing threw @p exception. The
+     *  request's result slot returns to its shard. */
     void fail(std::uint64_t id, std::exception_ptr exception);
 
     /**
@@ -399,13 +331,13 @@ class Scheduler
      * Block until the request is terminal, then consume the ticket
      * into @p out. Each ticket is consumed exactly once.
      *
-     * A Done payload is swapped with the pooled slot's: @p out takes
-     * the finished result, and the slot recycles holding @p out's
-     * previous buffers. A reused @p out therefore hands its warm
-     * capacity back to the pool — a warm same-shape submitShared ->
+     * A Done payload is swapped with the result slot's: @p out takes
+     * the finished result, and the slot returns to its shard holding
+     * @p out's previous buffers. A reused @p out therefore hands its warm
+     * capacity back to the slab — a warm same-shape submitShared ->
      * waitInto loop performs zero heap allocations end to end — and
      * a fresh one leaves the slot empty. Any other terminal state
-     * leaves out.result empty. @p out never aliases pool memory.
+     * leaves out.result empty. @p out never aliases slab memory.
      *
      * With @p timeout, blocks at most that long: false means the
      * request is still pending, @p out is untouched, and the ticket
@@ -443,6 +375,10 @@ class Scheduler
      *  serving telemetry and leak tests read this. */
     std::size_t liveRecordCount() const;
 
+    /** Result slots created so far, summed over shards: bounded by
+     *  the peak of running requests plus unconsumed Done tickets. */
+    std::size_t outcomeSlotsCreated() const;
+
     /**
      * Reject new submissions, flag all queued requests for
      * cancellation, and block until no request is Queued or Running
@@ -468,9 +404,10 @@ class Scheduler
         bool spilled = false;   ///< spilled for at least one stage
         bool abandoned = false; ///< discard()ed; reclaim on retire
 
-        /** Pooled payload lease (set iff Done); recycled when the
-         *  record is reclaimed. */
-        OutcomeSlot *slot = nullptr;
+        /** Result slot, checked out at acquire; held while Running
+         *  and, once Done, until the record is consumed or
+         *  reclaimed. Null otherwise. */
+        BatchResult *result = nullptr;
 
         /** Return to a just-constructed state while KEEPING the
          *  capacity of request and error — recycled records make the
@@ -490,17 +427,25 @@ class Scheduler
             spill_shard = -1;
             spilled = false;
             abandoned = false;
-            slot = nullptr;
+            result = nullptr;
         }
     };
 
-    /** Queues, aging credits, and in-flight counters of one shard. */
+    /** Queues, aging credits, in-flight counters, and the result
+     *  slab of one shard. */
     struct ShardState
     {
-        std::array<IdRing, kNumPriorities> queues;
+        std::array<core::Ring<std::uint64_t>, kNumPriorities> queues;
         std::array<std::uint64_t, kNumPriorities> credit{};
         std::size_t queued = 0;
         std::size_t running = 0;
+
+        /** Every result slot this shard ever created, and the subset
+         *  currently free. A returned slot keeps the capacity of
+         *  whatever buffers it holds, which is what drives warm
+         *  serve-path allocations to zero. */
+        std::vector<std::unique_ptr<BatchResult>> results;
+        std::vector<BatchResult *> free_results;
     };
 
     /** Instruments of one (shard, class) cell; null without a
@@ -527,12 +472,14 @@ class Scheduler
         core::metrics::Counter *spill_same = nullptr;
         core::metrics::Counter *borrow_out = nullptr;
         core::metrics::Counter *borrow_in = nullptr;
+        core::metrics::Counter *outcome_checkout = nullptr;
+        core::metrics::Gauge *outcome_created = nullptr;
     };
 
     /** Retire a non-terminal record as Cancelled/Expired/Done/Failed
-     *  (mutex held). Drops the cloud reference, wakes waiters, and
-     *  erases the record if it was abandoned — callers must not
-     *  touch @p record afterwards. */
+     *  (mutex held). Drops the cloud reference, returns the result
+     *  slot unless Done, wakes waiters, and erases the record if it
+     *  was abandoned — callers must not touch @p record afterwards. */
     void retireLocked(std::uint64_t id, Record &record,
                       RequestState state);
 
@@ -551,17 +498,25 @@ class Scheduler
     void assignSpillLocked(Record &record, int target);
 
     /** Consume a terminal record into @p out (mutex held): a Done
-     *  payload is swapped with the pooled slot's; any other state
+     *  payload is swapped with the result slot's; any other state
      *  leaves @p out an empty result. Then the record is reclaimed. */
     void consumeIntoLocked(std::uint64_t id, Record &record,
                            RequestOutcome &out);
 
-    /** Take @p id's record out of the ledger (mutex held): recycle
-     *  its outcome slot (if still leased), reset() it
+    /** Take @p id's record out of the ledger (mutex held): return
+     *  its result slot (if it still holds one), reset() it
      *  capacity-retaining, and stash the map node for the next
      *  admission. Every record leaving records_ goes through here —
      *  warm steady state never touches the map's allocator. */
     void reclaimRecordLocked(std::uint64_t id);
+
+    /** Pop a free result slot of @p shard, or grow its slab (mutex
+     *  held). */
+    BatchResult *checkoutResultLocked(unsigned shard);
+
+    /** Return @p record's result slot, if any, to its shard's free
+     *  list (mutex held). */
+    void releaseResultLocked(Record &record);
 
     const Record &recordFor(Ticket ticket) const;
 
@@ -596,10 +551,6 @@ class Scheduler
      *  tickets. */
     std::vector<std::unordered_map<std::uint64_t, Record>::node_type>
         record_nodes_;
-
-    /** Slot-return hook into AsyncPipeline's per-shard pools; must
-     *  be installed before the first complete(). */
-    std::function<void(OutcomeSlot *)> outcome_recycler_;
 
     std::size_t queued_ = 0;
     std::size_t running_ = 0;

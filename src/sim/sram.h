@@ -16,9 +16,7 @@
 #define FC_SIM_SRAM_H
 
 #include <cstdint>
-#include <string>
 
-#include "common/stats.h"
 #include "sim/cycles.h"
 
 namespace fc::sim {

@@ -24,7 +24,6 @@
 #include "serve/scheduler.h"
 
 #include "consume.h"
-#include "scheduler_slots.h"
 
 namespace fc {
 namespace {
@@ -82,7 +81,6 @@ struct StageGate
 TEST(Scheduler, FifoOrderAndCapacity)
 {
     Scheduler scheduler(/*queue_capacity=*/2, /*num_threads=*/4);
-    serve::SchedulerSlots slots(scheduler);
     const auto cloud = sharedScene(64, 1);
 
     const auto a = scheduler.trySubmit(cloud, {}, std::nullopt);
@@ -105,7 +103,7 @@ TEST(Scheduler, FifoOrderAndCapacity)
     const auto c = scheduler.trySubmit(cloud, {}, std::nullopt);
     ASSERT_TRUE(c);
 
-    scheduler.complete(job_a->id, slots.take());
+    scheduler.complete(job_a->id);
     EXPECT_TRUE(scheduler.poll(*a));
     EXPECT_EQ(consume(scheduler, *a).state, RequestState::Done);
 
@@ -114,8 +112,8 @@ TEST(Scheduler, FifoOrderAndCapacity)
     ASSERT_TRUE(job_b && job_c);
     EXPECT_EQ(job_b->id, b->id);
     EXPECT_EQ(job_c->id, c->id);
-    scheduler.complete(job_b->id, slots.take());
-    scheduler.complete(job_c->id, slots.take());
+    scheduler.complete(job_b->id);
+    scheduler.complete(job_c->id);
 }
 
 TEST(Scheduler, AcquireRetiresCancelledHead)
@@ -176,7 +174,6 @@ TEST(Scheduler, SpillPolicyIsWorkConserving)
     // 4 pool threads: requests spill only while in-flight (queued +
     // running) stays under 4.
     Scheduler scheduler(16, /*num_threads=*/4);
-    serve::SchedulerSlots slots(scheduler);
     const auto cloud = sharedScene(64, 5);
     std::vector<Ticket> tickets;
     for (int i = 0; i < 6; ++i)
@@ -188,14 +185,14 @@ TEST(Scheduler, SpillPolicyIsWorkConserving)
         const auto job = scheduler.acquire();
         ASSERT_TRUE(job);
         EXPECT_EQ(job->spill_shard, -1) << "request " << i;
-        scheduler.complete(job->id, slots.take());
+        scheduler.complete(job->id);
     }
     // 3, 2, 1 in flight: idle slots exist, spill.
     for (int i = 3; i < 6; ++i) {
         const auto job = scheduler.acquire();
         ASSERT_TRUE(job);
         EXPECT_EQ(job->spill_shard, 0) << "request " << i;
-        scheduler.complete(job->id, slots.take());
+        scheduler.complete(job->id);
         EXPECT_TRUE(consume(scheduler, tickets[i]).spilled);
     }
 }
@@ -205,7 +202,6 @@ TEST(Scheduler, CheckpointRefreshesSpillAfterPoolDrains)
     // All four requests acquire at saturation (no spill); once three
     // complete, the survivor's next checkpoint switches it to spill.
     Scheduler scheduler(16, /*num_threads=*/4);
-    serve::SchedulerSlots slots(scheduler);
     const auto cloud = sharedScene(64, 7);
     std::vector<Ticket> tickets;
     std::vector<Scheduler::Job> jobs;
@@ -217,12 +213,12 @@ TEST(Scheduler, CheckpointRefreshesSpillAfterPoolDrains)
         EXPECT_EQ(jobs.back().spill_shard, -1) << "request " << i;
     }
     for (int i = 0; i < 3; ++i)
-        scheduler.complete(jobs[i].id, slots.take());
+        scheduler.complete(jobs[i].id);
 
     int spill_shard = jobs[3].spill_shard;
     ASSERT_TRUE(scheduler.checkpoint(jobs[3].id, &spill_shard));
     EXPECT_EQ(spill_shard, 0) << "1 in flight < 4 threads must now spill";
-    scheduler.complete(jobs[3].id, slots.take());
+    scheduler.complete(jobs[3].id);
     EXPECT_TRUE(consume(scheduler, tickets[3]).spilled);
 }
 

@@ -9,9 +9,11 @@
  *  - per-shard workspace pools: creation counts stay flat per shard
  *    under pinned mixed-class load, and the foreign-return tripwire
  *    stays at zero,
- *  - the slab-recycled outcome pool: fresh and reused (dirty)
- *    outcomes match serve::runBatch byte for byte, recycled slots
- *    never alias a live result, and slot counts stay bounded by
+ *  - the scheduler's per-shard result slots: fresh and reused
+ *    (dirty) outcomes match serve::runBatch byte for byte, reused
+ *    slots never alias a live result, requests that stop early hand
+ *    their slot back, a stale inference payload never survives into
+ *    a point-ops result, and slot counts stay bounded by
  *    concurrency.
  *
  * The CI TSan filter runs both suites (ShardedLocality via Sharded*,
@@ -19,9 +21,11 @@
  */
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -37,6 +41,7 @@
 #include "serve/async_pipeline.h"
 #include "serve/run_batch.h"
 #include "serve/scheduler.h"
+#include "serve/stats.h"
 
 #include "consume.h"
 
@@ -240,8 +245,18 @@ TEST(ShardedLocality, WorkspacesStayFlatPerShardUnderMixedClassLoad)
 }
 
 // ---------------------------------------------------------------------
-// Outcome pool
+// Result slots
 // ---------------------------------------------------------------------
+
+void
+expectSameStats(const ops::OpStats &a, const ops::OpStats &b)
+{
+    EXPECT_EQ(a.distance_computations, b.distance_computations);
+    EXPECT_EQ(a.points_visited, b.points_visited);
+    EXPECT_EQ(a.iterations, b.iterations);
+    EXPECT_EQ(a.skipped, b.skipped);
+    EXPECT_EQ(a.bytes_gathered, b.bytes_gathered);
+}
 
 /** Byte-for-byte equality of two served results, inference
  *  included. */
@@ -251,11 +266,26 @@ expectSameResult(const BatchResult &a, const BatchResult &b)
     EXPECT_EQ(a.sampled.indices, b.sampled.indices);
     EXPECT_EQ(a.sampled.positions, b.sampled.positions);
     EXPECT_EQ(a.sampled.leaf_offsets, b.sampled.leaf_offsets);
+    expectSameStats(a.sampled.stats, b.sampled.stats);
+    EXPECT_EQ(a.grouped.num_centers, b.grouped.num_centers);
+    EXPECT_EQ(a.grouped.k, b.grouped.k);
     EXPECT_EQ(a.grouped.indices, b.grouped.indices);
     EXPECT_EQ(a.grouped.counts, b.grouped.counts);
+    expectSameStats(a.grouped.stats, b.grouped.stats);
+    EXPECT_EQ(a.gathered.num_centers, b.gathered.num_centers);
+    EXPECT_EQ(a.gathered.k, b.gathered.k);
+    EXPECT_EQ(a.gathered.channels, b.gathered.channels);
     EXPECT_EQ(a.gathered.values, b.gathered.values);
+    expectSameStats(a.gathered.stats, b.gathered.stats);
     EXPECT_EQ(a.num_blocks, b.num_blocks);
-    EXPECT_EQ(a.partition_stats.num_splits, b.partition_stats.num_splits);
+    const part::PartitionStats &pa = a.partition_stats;
+    const part::PartitionStats &pb = b.partition_stats;
+    EXPECT_EQ(pa.elements_traversed, pb.elements_traversed);
+    EXPECT_EQ(pa.traversal_passes, pb.traversal_passes);
+    EXPECT_EQ(pa.num_sorts, pb.num_sorts);
+    EXPECT_EQ(pa.sort_compares, pb.sort_compares);
+    EXPECT_EQ(pa.degenerate_retries, pb.degenerate_retries);
+    EXPECT_EQ(pa.num_splits, pb.num_splits);
     ASSERT_EQ(a.inference.has_value(), b.inference.has_value());
     if (!a.inference)
         return;
@@ -367,6 +397,138 @@ TEST(AsyncPipelineOutcome, RecycledSlotsNeverAliasALiveResult)
     EXPECT_EQ(server.outcomeSlotsCreated(), 1u);
 }
 
+TEST(AsyncPipelineOutcome, RequestsStoppedMidRunReturnTheirSlot)
+{
+    // On one worker, requests cancelled at the Sampled boundary (after
+    // FPS wrote into the result slot) alternate with Done ones, and a
+    // request that fails at the same boundary closes the run. A
+    // request that stops early must hand its slot back when it
+    // retires: one slot serves the whole run, no stopped outcome
+    // carries a payload, and the half-written slot never shows in the
+    // next Done result.
+    const data::PointCloud scene = data::makeS3disScene(1024, 59);
+    BatchRequest request;
+    request.sample_rate = 0.25;
+    request.radius = 0.3f;
+    request.neighbors = 8;
+
+    PipelineOptions pipeline;
+    pipeline.num_threads = 1;
+    pipeline.threshold = 64;
+    const BatchResult reference =
+        serve::runBatch({scene}, pipeline, request)[0];
+
+    enum Stop { None, Cancel, Fail };
+    std::atomic<int> stop_at_sampled{None};
+    serve::AsyncPipeline *server_ptr = nullptr;
+    serve::ServeOptions options;
+    options.pipeline = pipeline;
+    options.stage_observer = [&](serve::Ticket ticket,
+                                 serve::Stage stage) {
+        if (stage != serve::Stage::Sampled)
+            return;
+        if (stop_at_sampled.load() == Cancel)
+            server_ptr->cancel(ticket);
+        else if (stop_at_sampled.load() == Fail)
+            throw std::runtime_error("stopped at sampled");
+    };
+    serve::AsyncPipeline server(options);
+    server_ptr = &server;
+    const auto cloud = std::make_shared<const data::PointCloud>(scene);
+
+    // One request in flight at a time, so the flag names exactly the
+    // request being submitted.
+    const auto run = [&](Stop stop, serve::RequestOutcome &out) {
+        stop_at_sampled.store(stop);
+        server.waitInto(server.submitShared(cloud, request), out);
+        stop_at_sampled.store(None);
+    };
+    const BatchResult empty;
+    serve::RequestOutcome out;
+    for (int round = 0; round < 8; ++round) {
+        SCOPED_TRACE("round=" + std::to_string(round));
+        const bool cancelled = round % 2 == 1;
+        run(cancelled ? Cancel : None, out);
+        if (cancelled) {
+            ASSERT_EQ(out.state, serve::RequestState::Cancelled);
+            expectSameResult(out.result, empty);
+        } else {
+            ASSERT_EQ(out.state, serve::RequestState::Done);
+            expectSameResult(out.result, reference);
+        }
+    }
+    run(Fail, out);
+    ASSERT_EQ(out.state, serve::RequestState::Failed);
+    expectSameResult(out.result, empty);
+    run(None, out);
+    ASSERT_EQ(out.state, serve::RequestState::Done);
+    expectSameResult(out.result, reference);
+
+    EXPECT_EQ(server.outcomeSlotsCreated(), 1u);
+    // The scheduler's slot instruments reach /stats: every request
+    // that started checked out a slot, and the slab never grew.
+    EXPECT_EQ(server.metrics()
+                  .counter("serve.outcome.checkout{shard=0}")
+                  .value(),
+              10u);
+    EXPECT_EQ(server.metrics().gauge("serve.outcome.created{shard=0}")
+                  .value(),
+              1);
+    const std::string stats = serve::renderStats(server);
+    EXPECT_NE(stats.find("serve.outcome.checkout{shard=0}"),
+              std::string::npos);
+    EXPECT_NE(stats.find("serve.outcome.created{shard=0}"),
+              std::string::npos);
+}
+
+TEST(AsyncPipelineOutcome, PointOpsRequestDropsAStaleInferencePayload)
+{
+    // A reused outcome that carried an inference payload hands those
+    // buffers to the slot; a later point-ops-only request written into
+    // that slot must come back with `inference` disengaged and every
+    // other field equal to a fresh outcome's.
+    const auto cloud = std::make_shared<const data::PointCloud>(
+        data::makeS3disScene(512, 61));
+    const nn::Network network(nn::pointNet2SemSeg(), 42);
+    BatchRequest with_network;
+    with_network.sample_rate = 0.25;
+    with_network.radius = 0.3f;
+    with_network.neighbors = 8;
+    with_network.network = &network;
+    BatchRequest point_ops = with_network;
+    point_ops.network = nullptr;
+
+    serve::ServeOptions options;
+    options.pipeline.num_threads = 1;
+    options.pipeline.threshold = 64;
+    serve::AsyncPipeline server(options);
+
+    serve::RequestOutcome fresh;
+    server.waitInto(server.submitShared(cloud, point_ops), fresh);
+    ASSERT_EQ(fresh.state, serve::RequestState::Done);
+    ASSERT_FALSE(fresh.result.inference.has_value());
+
+    serve::RequestOutcome reused;
+    server.waitInto(server.submitShared(cloud, with_network), reused);
+    ASSERT_EQ(reused.state, serve::RequestState::Done);
+    ASSERT_TRUE(reused.result.inference.has_value());
+    // Round 0 hands the inference payload to the slot; round 1 runs
+    // in that slot, engaged inference and all.
+    for (int round = 0; round < 2; ++round) {
+        SCOPED_TRACE("round=" + std::to_string(round));
+        server.waitInto(server.submitShared(cloud, point_ops), reused);
+        EXPECT_EQ(reused.state, fresh.state);
+        EXPECT_FALSE(reused.result.inference.has_value());
+        expectSameResult(reused.result, fresh.result);
+        EXPECT_EQ(reused.error, fresh.error);
+        EXPECT_EQ(reused.exception, fresh.exception);
+        EXPECT_EQ(reused.priority, fresh.priority);
+        EXPECT_EQ(reused.shard, fresh.shard);
+        EXPECT_EQ(reused.spilled, fresh.spilled);
+    }
+    EXPECT_EQ(server.outcomeSlotsCreated(), 1u);
+}
+
 TEST(AsyncPipelineOutcome, SlotCountBoundedByUnconsumedTickets)
 {
     const auto cloud = std::make_shared<const data::PointCloud>(
@@ -382,7 +544,7 @@ TEST(AsyncPipelineOutcome, SlotCountBoundedByUnconsumedTickets)
     serve::AsyncPipeline server(options);
 
     // Hold several tickets un-consumed: each terminal-but-uncollected
-    // request keeps its slot leased, so the slab must grow to cover
+    // request keeps its slot, so the slab must grow to cover
     // them — and stop there.
     std::vector<serve::Ticket> held;
     for (int i = 0; i < 6; ++i)
@@ -402,7 +564,7 @@ TEST(AsyncPipelineOutcome, SlotCountBoundedByUnconsumedTickets)
     }
     EXPECT_EQ(server.outcomeSlotsCreated(), peak);
 
-    // Discarded tickets recycle their slots too.
+    // Discarded tickets return their slots too.
     for (int i = 0; i < 4; ++i)
         server.discard(server.submitShared(cloud, request));
     while (server.liveRecordCount() != 0 ||

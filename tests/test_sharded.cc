@@ -30,7 +30,6 @@
 #include "serve/scheduler.h"
 
 #include "consume.h"
-#include "scheduler_slots.h"
 
 namespace fc {
 namespace {
@@ -298,7 +297,6 @@ TEST(ShardedServe, CrossShardSpillBorrowsIdleNeighbor)
     // for its block items.
     Scheduler scheduler(/*queue_capacity=*/16, /*num_threads=*/2,
                         /*num_shards=*/2);
-    serve::SchedulerSlots slots(scheduler);
     const core::ShardMap map(2);
     const std::uint64_t key0 = keyOnShard(map, 0);
     const auto cloud = sharedScene(64, 311);
@@ -319,15 +317,15 @@ TEST(ShardedServe, CrossShardSpillBorrowsIdleNeighbor)
     // Drain the rest: with 2 still in flight on shard 0 (== its
     // thread count) the second request keeps borrowing shard 1; the
     // last one, alone on its shard, spills to the home pool.
-    scheduler.complete(job->id, slots.take());
+    scheduler.complete(job->id);
     const auto second = scheduler.acquire(0);
     ASSERT_TRUE(second);
     EXPECT_EQ(second->spill_shard, 1);
-    scheduler.complete(second->id, slots.take());
+    scheduler.complete(second->id);
     const auto third = scheduler.acquire(0);
     ASSERT_TRUE(third);
     EXPECT_EQ(third->spill_shard, 0);
-    scheduler.complete(third->id, slots.take());
+    scheduler.complete(third->id);
     for (const Ticket t : tickets)
         EXPECT_TRUE(consume(scheduler, t).spilled);
 }
@@ -361,7 +359,6 @@ TEST(PriorityScheduling, BackloggedClassesShareByWeight)
     // must interleave classes roughly 8:4:1 — and strictly FIFO
     // within each class.
     Scheduler scheduler(/*queue_capacity=*/64, /*num_threads=*/1);
-    serve::SchedulerSlots slots(scheduler);
     const auto cloud = sharedScene(64, 330);
 
     std::map<std::uint64_t, Priority> submitted;
@@ -384,7 +381,7 @@ TEST(PriorityScheduling, BackloggedClassesShareByWeight)
         const Priority p = submitted.at(job->id);
         order.push_back(p);
         per_class_ids[p].push_back(job->id);
-        scheduler.complete(job->id, slots.take());
+        scheduler.complete(job->id);
     }
 
     // FIFO within each class.

@@ -328,7 +328,7 @@ TEST(WorkspaceAlloc, WarmServeRoundTripIsAllocationFree)
     // same-shape submitShared -> waitInto round trip touches the
     // heap exactly zero times — admission (recycled record node +
     // id ring), dispatch (InlineTask ring), processing (per-shard
-    // workspace), the result payload (slab-recycled outcome slot),
+    // workspace), the result payload (the scheduler's result slot),
     // and consumption (a swap with the caller's warm buffers)
     // included.
     const auto scene = std::make_shared<const data::PointCloud>(
