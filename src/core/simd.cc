@@ -1,5 +1,6 @@
 #include "core/simd.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 
@@ -14,7 +15,8 @@ namespace {
  * Scalar reference kernels. Each body is the literal loop it replaced
  * in ops/fps.cc, ops/neighbor.cc, or nn/mlp.cc — same expressions,
  * same evaluation order — so forcing this level reproduces the
- * pre-SIMD library bit for bit.
+ * pre-SIMD library bit for bit. (linearRelu reads its weights from
+ * the packed panels, but each output's sum is the same loop.)
  */
 
 inline PointIdx
@@ -65,13 +67,30 @@ distance2RangeScalar(const SoaView &pts, const PointIdx *order,
     }
 }
 
-float
-dotAccScalar(float init, const float *a, const float *b, std::size_t n)
+void
+linearReluScalar(const PackedLinear &layer, const float *x,
+                 std::size_t rows, float *y)
 {
-    float acc = init;
-    for (std::size_t i = 0; i < n; ++i)
-        acc += a[i] * b[i];
-    return acc;
+    const std::size_t in = layer.in;
+    // Panel by panel, so one [in x 16] panel serves every row from L1;
+    // each output's sum is the historical loop.
+    for (std::size_t o0 = 0; o0 < layer.out; o0 += kLinearPanel) {
+        const float *panel = layer.panels + o0 * in;
+        const std::size_t o1 = std::min(o0 + kLinearPanel, layer.out);
+        for (std::size_t r = 0; r < rows; ++r) {
+            const float *xin = x + r * in;
+            float *yout = y + r * layer.out;
+            for (std::size_t o = o0; o < o1; ++o) {
+                const float *w = panel + (o - o0);
+                float acc = layer.bias[o];
+                for (std::size_t i = 0; i < in; ++i)
+                    acc += w[i * kLinearPanel] * xin[i];
+                if (layer.relu && acc < 0.0f)
+                    acc = 0.0f;
+                yout[o] = fp16Round(acc);
+            }
+        }
+    }
 }
 
 void
@@ -89,7 +108,7 @@ fp16RoundScalar(float *values, std::size_t n)
 }
 
 constexpr detail::Kernels kScalarKernels = {
-    &fpsUpdateScalar, &distance2RangeScalar, &dotAccScalar,
+    &fpsUpdateScalar, &distance2RangeScalar, &linearReluScalar,
     &axpyScalar,      &fp16RoundScalar,
 };
 
@@ -182,10 +201,11 @@ distance2Range(const SoaView &pts, const PointIdx *order,
                                      begin, end, out);
 }
 
-float
-dotAcc(float init, const float *a, const float *b, std::size_t n)
+void
+linearRelu(const PackedLinear &layer, const float *x, std::size_t rows,
+           float *y)
 {
-    return detail::active().dot_acc(init, a, b, n);
+    detail::active().linear_relu(layer, x, rows, y);
 }
 
 void

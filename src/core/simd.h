@@ -6,9 +6,8 @@
  * feature math; on a CPU the equivalent is explicit vectorization of
  * the same three inner loops (the Fig. 4 bottleneck trio): the FPS
  * min-distance update, the ball-query/KNN distance screens, and the
- * per-row MLP inner products. This header exposes exactly those
- * primitives, with two implementations behind one function-pointer
- * table:
+ * MLP's dense layers. This header exposes exactly those primitives,
+ * with two implementations behind one function-pointer table:
  *
  *   - Scalar: a reference path whose arithmetic is literally the loop
  *     it replaced — bit-identical to the pre-SIMD code, element order
@@ -34,12 +33,19 @@
  *     for every non-NaN input; NaN payloads may differ (F16C
  *     propagates payload bits, the software path canonicalizes to
  *     0x200) while staying NaN.
- *   - dotAcc: fp32 accumulation in a fixed two-register FMA scheme.
- *     Association differs from the scalar running sum, so results
- *     are ULP-bounded, not bit-equal: the error is at most
- *     ~(n/8 + 8) float ULP of sum_i |a_i * b_i|, and after binary16
+ *   - linearRelu: every (row, output) is one fp32 running sum seeded
+ *     with the bias and taken over the inputs in index order, on both
+ *     levels. Scalar adds each rounded product (the historical
+ *     LinearRelu loop, bit for bit); Avx2 issues one FMA per step, so
+ *     it rounds once per step instead of twice. Results are
+ *     ULP-bounded, not bit-equal: the error is at most ~(n/8 + 8)
+ *     float ULP of sum_i |a_i * b_i| for n inputs, and after binary16
  *     output rounding (how every MLP activation is stored) scalar and
- *     Avx2 agree to <= 1 fp16 ULP.
+ *     Avx2 agree to <= 1 fp16 ULP. (When both operands are
+ *     fp16-valued, as on the inference path, every product is exact
+ *     in fp32 and the two levels coincide.) The order never depends
+ *     on the row tile, the chunk, the thread count or the shard, so a
+ *     row's output is the same whichever batch computes it.
  *
  * Threading: kernels are pure functions over caller-owned memory and
  * may run concurrently on disjoint ranges — they are called from
@@ -151,12 +157,53 @@ void distance2Range(const SoaView &pts, const PointIdx *order,
                     std::uint32_t begin, std::uint32_t end, float *out);
 
 /**
- * init + sum_i a[i] * b[i] with fp32 accumulation — one MLP output
- * neuron with @p init as its bias. Scalar: the exact running sum of
- * the historical LinearRelu row loop. Avx2: FMA partial sums
- * (ULP-bounded, see file header).
+ * Output-panel width of linearRelu's packed weights: panel p holds
+ * the weights of outputs [16p, 16p + 16) as an [in x 16] block, one
+ * 16-float row per input channel.
  */
-float dotAcc(float init, const float *a, const float *b, std::size_t n);
+inline constexpr std::size_t kLinearPanel = 16;
+
+/**
+ * Rows per register tile of the Avx2 linearRelu microkernel. LinearRelu
+ * cuts its rows into chunks that are multiples of it, so only a
+ * layer's last chunk runs a partial tile.
+ */
+inline constexpr std::size_t kLinearRowTile = 6;
+
+/**
+ * A dense layer y = act(W x + b) with weights packed for linearRelu.
+ * Non-owning; nn::LinearRelu owns the buffers.
+ *
+ *   panels: ceil(out / kLinearPanel) panels; weight W[o][i] sits at
+ *           panels[((o / 16) * in + i) * 16 + o % 16]. The last
+ *           panel's lanes past `out` hold zeros.
+ *   bias:   ceil(out / kLinearPanel) * kLinearPanel floats, zero past
+ *           `out`.
+ */
+struct PackedLinear
+{
+    const float *panels = nullptr;
+    const float *bias = nullptr;
+    std::size_t in = 0;
+    std::size_t out = 0;
+    bool relu = true;
+};
+
+/**
+ * One MLP layer over a chunk of rows: for each row r of the row-major
+ * [rows x in] input @p x and each output o,
+ *
+ *     acc = bias[o]; for i in [0, in): acc += W[o][i] * x[r][i];
+ *     y[r][o] = fp16Round(relu && acc < 0 ? 0 : acc)
+ *
+ * written to the row-major [rows x out] @p y (fp32 accumulation over
+ * fp16 operands, as in the paper's PE array). Scalar: that loop,
+ * literally. Avx2: an R-row x 16-output register tile over the packed
+ * panels, one FMA per step in the same index order (ULP-bounded, see
+ * the file header).
+ */
+void linearRelu(const PackedLinear &layer, const float *x,
+                std::size_t rows, float *y);
 
 /** y[i] += a * x[i], elementwise (bit-identical across levels). */
 void axpy(float a, const float *x, float *y, std::size_t n);
@@ -177,7 +224,8 @@ struct Kernels
     void (*distance2_range)(const SoaView &, const PointIdx *,
                             std::uint32_t, const Vec3 &, std::uint32_t,
                             std::uint32_t, float *);
-    float (*dot_acc)(float, const float *, const float *, std::size_t);
+    void (*linear_relu)(const PackedLinear &, const float *, std::size_t,
+                        float *);
     void (*axpy)(float, const float *, float *, std::size_t);
     void (*fp16_round)(float *, std::size_t);
 };

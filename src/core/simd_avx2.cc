@@ -20,9 +20,10 @@
  *   - The argmax keeps per-lane running bests with a strictly-greater
  *     compare, then resolves ties cross-lane by smallest index — the
  *     earliest maximal index, exactly the serial tie-break.
- *   - dotAcc uses one fixed accumulation scheme (two 8-lane FMA
- *     accumulators, fixed-order horizontal sum, scalar remainder);
- *     versus the scalar running sum it is ULP-bounded, not bit-equal.
+ *   - linearRelu keeps the scalar order — each (row, output) is one
+ *     running sum, bias first, inputs in index order — but fuses each
+ *     multiply-add into one FMA; versus the scalar sum it is
+ *     ULP-bounded, not bit-equal.
  *   - F16C rounding is round-to-nearest-even like the software
  *     converter; only NaN payloads may differ.
  */
@@ -40,18 +41,8 @@ namespace fc::core::simd {
 
 namespace {
 
-/** Fixed-order horizontal sum: (l0+l4)+(l2+l6) pairs first, then the
- *  two remaining partials — one deterministic association. */
-inline float
-hsum8(__m256 acc)
-{
-    const __m128 lo = _mm256_castps256_ps128(acc);
-    const __m128 hi = _mm256_extractf128_ps(acc, 1);
-    __m128 s = _mm_add_ps(lo, hi);
-    s = _mm_add_ps(s, _mm_movehl_ps(s, s));
-    s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 0x1));
-    return _mm_cvtss_f32(s);
-}
+constexpr int kRoundNearest =
+    _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC;
 
 /** 8 candidate positions' coordinates, contiguous or gathered. */
 inline void
@@ -196,27 +187,109 @@ distance2RangeAvx2(const SoaView &pts, const PointIdx *order,
     }
 }
 
-float
-dotAccAvx2(float init, const float *a, const float *b, std::size_t n)
+/**
+ * One R-row x 16-output register tile of linearRelu: 2R accumulators
+ * seeded with the panel's bias, one broadcast-FMA step per input
+ * channel in index order, then ReLU and fp16 rounding in registers.
+ * @p width (<= 16) outputs of each row are stored.
+ */
+template <int R>
+inline void
+linearTile(const float *x, std::size_t in, const float *panel,
+           const float *bias, float *y, std::size_t ldy,
+           std::size_t width, bool relu)
 {
-    __m256 acc0 = _mm256_setzero_ps();
-    __m256 acc1 = _mm256_setzero_ps();
-    std::size_t i = 0;
-    for (; i + 16 <= n; i += 16) {
-        acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i),
-                               _mm256_loadu_ps(b + i), acc0);
-        acc1 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i + 8),
-                               _mm256_loadu_ps(b + i + 8), acc1);
+    __m256 acc[R][2];
+    const __m256 b0 = _mm256_loadu_ps(bias);
+    const __m256 b1 = _mm256_loadu_ps(bias + 8);
+#pragma GCC unroll 6
+    for (int r = 0; r < R; ++r) {
+        acc[r][0] = b0;
+        acc[r][1] = b1;
     }
-    if (i + 8 <= n) {
-        acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i),
-                               _mm256_loadu_ps(b + i), acc0);
-        i += 8;
+    for (std::size_t i = 0; i < in; ++i) {
+        const __m256 w0 = _mm256_loadu_ps(panel + i * kLinearPanel);
+        const __m256 w1 = _mm256_loadu_ps(panel + i * kLinearPanel + 8);
+#pragma GCC unroll 6
+        for (int r = 0; r < R; ++r) {
+            const __m256 xv = _mm256_broadcast_ss(x + r * in + i);
+            acc[r][0] = _mm256_fmadd_ps(w0, xv, acc[r][0]);
+            acc[r][1] = _mm256_fmadd_ps(w1, xv, acc[r][1]);
+        }
     }
-    float acc = init + hsum8(_mm256_add_ps(acc0, acc1));
-    for (; i < n; ++i)
-        acc += a[i] * b[i];
-    return acc;
+    // max(0, acc) = (0 > acc) ? 0 : acc: the scalar `acc < 0` clamp,
+    // keeping -0.0 and NaN as they are.
+    const __m256 zero = _mm256_setzero_ps();
+#pragma GCC unroll 6
+    for (int r = 0; r < R; ++r) {
+        __m256 lo = acc[r][0];
+        __m256 hi = acc[r][1];
+        if (relu) {
+            lo = _mm256_max_ps(zero, lo);
+            hi = _mm256_max_ps(zero, hi);
+        }
+        lo = _mm256_cvtph_ps(_mm256_cvtps_ph(lo, kRoundNearest));
+        hi = _mm256_cvtph_ps(_mm256_cvtps_ph(hi, kRoundNearest));
+        float *dst = y + r * ldy;
+        if (width == kLinearPanel) {
+            _mm256_storeu_ps(dst, lo);
+            _mm256_storeu_ps(dst + 8, hi);
+        } else {
+            alignas(32) float tmp[kLinearPanel];
+            _mm256_store_ps(tmp, lo);
+            _mm256_store_ps(tmp + 8, hi);
+            std::copy(tmp, tmp + width, dst);
+        }
+    }
+}
+
+void
+linearReluAvx2(const PackedLinear &layer, const float *x,
+               std::size_t rows, float *y)
+{
+    const std::size_t in = layer.in;
+    const std::size_t panels =
+        (layer.out + kLinearPanel - 1) / kLinearPanel;
+    // Panel-outer: one [in x 16] panel stays in L1 while every row
+    // tile of the chunk streams past it.
+    for (std::size_t p = 0; p < panels; ++p) {
+        const float *panel = layer.panels + p * in * kLinearPanel;
+        const float *bias = layer.bias + p * kLinearPanel;
+        const std::size_t o0 = p * kLinearPanel;
+        const std::size_t width =
+            std::min(kLinearPanel, layer.out - o0);
+        std::size_t r = 0;
+        for (; r + kLinearRowTile <= rows; r += kLinearRowTile)
+            linearTile<kLinearRowTile>(x + r * in, in, panel, bias,
+                                       y + r * layer.out + o0,
+                                       layer.out, width, layer.relu);
+        const float *xt = x + r * in;
+        float *yt = y + r * layer.out + o0;
+        switch (rows - r) {
+        case 5:
+            linearTile<5>(xt, in, panel, bias, yt, layer.out, width,
+                          layer.relu);
+            break;
+        case 4:
+            linearTile<4>(xt, in, panel, bias, yt, layer.out, width,
+                          layer.relu);
+            break;
+        case 3:
+            linearTile<3>(xt, in, panel, bias, yt, layer.out, width,
+                          layer.relu);
+            break;
+        case 2:
+            linearTile<2>(xt, in, panel, bias, yt, layer.out, width,
+                          layer.relu);
+            break;
+        case 1:
+            linearTile<1>(xt, in, panel, bias, yt, layer.out, width,
+                          layer.relu);
+            break;
+        default:
+            break;
+        }
+    }
 }
 
 void
@@ -234,9 +307,6 @@ axpyAvx2(float a, const float *x, float *y, std::size_t n)
     for (; i < n; ++i)
         y[i] += a * x[i];
 }
-
-constexpr int kRoundNearest =
-    _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC;
 
 void
 fp16RoundAvx2(float *values, std::size_t n)
@@ -259,7 +329,7 @@ const Kernels *
 avx2Kernels()
 {
     static const Kernels table = {
-        &fpsUpdateAvx2, &distance2RangeAvx2, &dotAccAvx2,
+        &fpsUpdateAvx2, &distance2RangeAvx2, &linearReluAvx2,
         &axpyAvx2,      &fp16RoundAvx2,
     };
     static const bool supported = __builtin_cpu_supports("avx2") &&

@@ -10,21 +10,53 @@
 
 namespace fc::nn {
 
+namespace {
+
+namespace simd = core::simd;
+
+std::size_t
+paddedOutputs(std::size_t out)
+{
+    return (out + simd::kLinearPanel - 1) / simd::kLinearPanel *
+           simd::kLinearPanel;
+}
+
+/**
+ * Rows per kernel call: whole row tiles worth about 2^19 MACs (at
+ * least one tile). A pure function of the layer shape, so the chunking
+ * (and, since no row's arithmetic depends on it, the output) is the
+ * same at every thread count.
+ */
+std::size_t
+rowGrain(std::size_t in, std::size_t out)
+{
+    const std::size_t tiles = std::max<std::size_t>(
+        1, (std::size_t{1} << 19) / (simd::kLinearRowTile * in * out));
+    return tiles * simd::kLinearRowTile;
+}
+
+} // namespace
+
 LinearRelu::LinearRelu(std::size_t in, std::size_t out,
                        std::uint64_t seed, bool relu)
-    : in_(in), out_(out), relu_(relu), weights_(out, in),
-      bias_(out, 0.0f)
+    : in_(in), out_(out), relu_(relu),
+      panels_(paddedOutputs(out) * in, 0.0f),
+      bias_(paddedOutputs(out), 0.0f)
 {
     fc_assert(in > 0 && out > 0, "degenerate layer %zux%zu", in, out);
     Pcg32 rng(seed, 0x2545f4914f6cdd1dULL);
     const float scale =
         std::sqrt(2.0f / static_cast<float>(in)); // He init
+    // Draw in [out x in] order (the weights do not depend on the
+    // layout) and store each W[o][i] at its panel position.
     for (std::size_t o = 0; o < out; ++o)
         for (std::size_t i = 0; i < in; ++i)
-            weights_.at(o, i) = rng.normal(0.0f, scale);
+            panels_[((o / simd::kLinearPanel) * in + i) *
+                        simd::kLinearPanel +
+                    o % simd::kLinearPanel] = rng.normal(0.0f, scale);
     for (std::size_t o = 0; o < out; ++o)
         bias_[o] = rng.normal(0.0f, 0.01f);
-    weights_.quantizeFp16();
+    simd::fp16RoundBuffer(panels_.data(), panels_.size());
 }
 
 void
@@ -35,35 +67,15 @@ LinearRelu::forward(const Tensor &x, core::ThreadPool *pool,
               in_, x.cols());
     fc_assert(&x != &y, "LinearRelu::forward cannot run in place");
     y.resize(x.rows(), out_);
-    // Each row owns its output slice; the grain is a pure function of
-    // the layer shape, so chunking never affects the arithmetic.
-    core::parallelFor(
-        pool, 0, x.rows(), core::costGrain(in_ * out_),
-        [&](std::size_t rb, std::size_t re) {
-            for (std::size_t r = rb; r < re; ++r) {
-                const auto xin = x.row(r);
-                auto yout = y.row(r);
-                for (std::size_t o = 0; o < out_; ++o) {
-                    // fp32 accumulation over fp16 operands, as in the
-                    // PE array; the bias seeds the accumulator.
-                    float acc = core::simd::dotAcc(
-                        bias_[o], weights_.row(o).data(), xin.data(),
-                        in_);
-                    if (relu_ && acc < 0.0f)
-                        acc = 0.0f;
-                    yout[o] = acc;
-                }
-                core::simd::fp16RoundBuffer(yout.data(), out_);
-            }
-        });
-}
-
-Tensor
-LinearRelu::forward(const Tensor &x, core::ThreadPool *pool) const
-{
-    Tensor y;
-    forward(x, pool, y);
-    return y;
+    const simd::PackedLinear layer{panels_.data(), bias_.data(), in_,
+                                   out_, relu_};
+    const float *xs = x.data().data();
+    float *ys = y.data().data();
+    core::parallelFor(pool, 0, x.rows(), rowGrain(in_, out_),
+                      [&](std::size_t rb, std::size_t re) {
+                          simd::linearRelu(layer, xs + rb * in_,
+                                           re - rb, ys + rb * out_);
+                      });
 }
 
 Mlp::Mlp(const std::vector<std::size_t> &widths, std::uint64_t seed)
@@ -72,16 +84,6 @@ Mlp::Mlp(const std::vector<std::size_t> &widths, std::uint64_t seed)
     layers_.reserve(widths.size() - 1);
     for (std::size_t i = 0; i + 1 < widths.size(); ++i)
         layers_.emplace_back(widths[i], widths[i + 1], seed + i);
-}
-
-Tensor
-Mlp::forward(const Tensor &x, core::ThreadPool *pool) const
-{
-    fc_assert(!layers_.empty(), "forward through empty MLP");
-    Tensor cur = layers_.front().forward(x, pool);
-    for (std::size_t i = 1; i < layers_.size(); ++i)
-        cur = layers_[i].forward(cur, pool);
-    return cur;
 }
 
 void
@@ -154,15 +156,6 @@ maxPoolGroups(const Tensor &x, std::size_t group_size,
         });
 }
 
-Tensor
-maxPoolGroups(const Tensor &x, std::size_t group_size,
-              core::ThreadPool *pool)
-{
-    Tensor y;
-    maxPoolGroups(x, group_size, pool, y);
-    return y;
-}
-
 void
 globalMaxPool(const Tensor &x, Tensor &y)
 {
@@ -177,14 +170,6 @@ globalMaxPool(const Tensor &x, Tensor &y)
         for (std::size_t c = 0; c < x.cols(); ++c)
             out[c] = std::max(out[c], in[c]);
     }
-}
-
-Tensor
-globalMaxPool(const Tensor &x)
-{
-    Tensor y;
-    globalMaxPool(x, y);
-    return y;
 }
 
 } // namespace fc::nn

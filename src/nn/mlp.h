@@ -8,6 +8,13 @@
  * under identical fixed weights, so no training loop exists anywhere
  * in the library. Every layer applies y = relu(W x + b) row-wise with
  * fp16 rounding on weights and activations.
+ *
+ * A layer is one dense GEMM: its weights are packed once, at
+ * construction, into the output panels core::simd::linearRelu reads,
+ * and forward() hands that kernel whole row chunks (a multiple of the
+ * kernel's row tile, sized from the layer shape alone). Every
+ * (row, output) sums its inputs in index order from the bias, so an
+ * output row's bits never depend on the chunking or the thread count.
  */
 
 #ifndef FC_NN_MLP_H
@@ -39,17 +46,13 @@ class LinearRelu
                bool relu = true);
 
     /**
-     * Apply to every row of @p x; returns [rows x out]. Rows are
-     * independent, so they dispatch in chunks over @p pool (null =
-     * sequential); every row's arithmetic is unchanged, making the
-     * result bit-identical at any thread count.
+     * Apply to every row of @p x, writing [rows x out] into @p out
+     * (reshaped reusing its capacity: the allocation-free
+     * steady-state path). Row chunks dispatch over @p pool (null =
+     * sequential), one kernel call each; a row's arithmetic does not
+     * depend on its chunk, so the result is bit-identical at any
+     * thread count. @p out must not alias @p x.
      */
-    Tensor forward(const Tensor &x,
-                   core::ThreadPool *pool = nullptr) const;
-
-    /** In-place overload: @p out is reshaped reusing its capacity
-     *  (the allocation-free steady-state path). @p out must not
-     *  alias @p x. */
     void forward(const Tensor &x, core::ThreadPool *pool,
                  Tensor &out) const;
 
@@ -67,7 +70,10 @@ class LinearRelu
     std::size_t in_;
     std::size_t out_;
     bool relu_;
-    Tensor weights_; // [out x in], fp16-rounded
+    /** fp16-rounded weights in core::simd::PackedLinear panel layout
+     *  (the only copy). */
+    std::vector<float> panels_;
+    /** Padded to whole panels with zeros. */
     std::vector<float> bias_;
 };
 
@@ -83,15 +89,12 @@ class Mlp
      */
     Mlp(const std::vector<std::size_t> &widths, std::uint64_t seed);
 
-    /** Row-chunked over @p pool, layer by layer (see LinearRelu). */
-    Tensor forward(const Tensor &x,
-                   core::ThreadPool *pool = nullptr) const;
-
     /**
-     * In-place overload: inter-layer activations ping-pong between
-     * two tensor slots of @p ws ("mlp.ping"/"mlp.pong" — shared by
-     * every Mlp drawing from the workspace, sized to the largest
-     * layer seen), and @p out is reshaped reusing its capacity.
+     * Row-chunked over @p pool, layer by layer (see LinearRelu).
+     * Inter-layer activations ping-pong between two tensor slots of
+     * @p ws ("mlp.ping"/"mlp.pong" — shared by every Mlp drawing from
+     * the workspace, sized to the largest layer seen), and @p out is
+     * reshaped reusing its capacity.
      * @p x and @p out must not be those slots (network code passes
      * its own stage slots).
      */
@@ -111,24 +114,18 @@ class Mlp
 
 /**
  * Max-pool groups of @p group_size consecutive rows:
- * [groups * group_size x c] -> [groups x c]. The pooling-unit
- * operation that reduces each gathered neighborhood to one feature.
- * Groups own disjoint output rows and dispatch in chunks over
- * @p pool; results are bit-identical at any thread count.
+ * [groups * group_size x c] -> [groups x c] into @p out (reshaped
+ * reusing its capacity). The pooling-unit operation that reduces each
+ * gathered neighborhood to one feature in the eager order. Groups own
+ * disjoint output rows and dispatch in chunks over @p pool; results
+ * are bit-identical at any thread count.
  */
-Tensor maxPoolGroups(const Tensor &x, std::size_t group_size,
-                     core::ThreadPool *pool = nullptr);
-
-/** In-place overload of maxPoolGroups (capacity-reusing @p out). */
 void maxPoolGroups(const Tensor &x, std::size_t group_size,
                    core::ThreadPool *pool, Tensor &out);
 
-/** Column-wise max over all rows: [n x c] -> [1 x c]. Sequential and
+/** Column-wise max over all rows: [n x c] -> [1 x c] into @p out,
+ *  reusing its capacity (allocation-free once warm). Sequential and
  *  deterministic (fold in row order). */
-Tensor globalMaxPool(const Tensor &x);
-
-/** In-place overload of globalMaxPool: @p out reuses capacity —
- *  allocation-free once warm. */
 void globalMaxPool(const Tensor &x, Tensor &out);
 
 } // namespace fc::nn

@@ -270,8 +270,6 @@ Network::run(const data::PointCloud &cloud,
         ws.slot<ops::NeighborResult>("nn.nbr");
     data::PointCloud &feat_cloud =
         ws.slot<data::PointCloud>("nn.fcloud");
-    ops::GatherResult &gathered = ws.slot<ops::GatherResult>("nn.gath");
-    Tensor &grouped = ws.slot<Tensor>("nn.grouped");
     Tensor &transformed = ws.slot<Tensor>("nn.trans");
     // Delayed-aggregation scratch: the per-level unique-point MLP
     // input and the pooled relative-coordinate summary carried into
@@ -402,29 +400,29 @@ Network::run(const data::PointCloud &cloud,
             out.sa_mlp_rows += n;
             lapInto(kStMlpUnique);
 
-            // --- Aggregation: feature gather + max pool ------------------
+            // --- Aggregation: fused feature gather-max ------------------
             // Grouping is now a pure index-gather over the unique-point
-            // feature tensor (no raw-coordinate rows), followed by the
-            // same per-group max pool. The relative-coordinate summary
-            // for the next stage is pooled alongside.
+            // feature tensor (no raw-coordinate rows), folded straight
+            // into the per-group max: the pooled rows land in the next
+            // level's features without a [centers x k x c] tensor. The
+            // relative-coordinate summary for the next stage is pooled
+            // alongside.
             const std::span<const float> feat_span(
                 transformed.data().data(), transformed.data().size());
-            if (use_blocks && backend.block_grouping) {
-                ops::blockGatherFeatureRows(
-                    feat_span, transformed.cols(), partitions[si].tree,
-                    block_sampled.leaf_offsets, neighbors, pool, ws,
-                    gathered);
-            } else {
-                ops::gatherFeatureRows(feat_span, transformed.cols(),
-                                       neighbors, ws, gathered);
-            }
-            out.op_stats += gathered.stats;
-            grouped.resize(gathered.num_centers * gathered.k,
-                           gathered.channels);
-            std::copy(gathered.values.begin(), gathered.values.end(),
-                      grouped.data().begin());
             Level &next = levels[si + 1];
-            maxPoolGroups(grouped, stage.k, pool, next.features);
+            next.features.resize(neighbors.num_centers,
+                                 transformed.cols());
+            const std::span<float> pooled(next.features.data().data(),
+                                          next.features.size());
+            if (use_blocks && backend.block_grouping) {
+                out.op_stats += ops::blockGatherMaxFeatureRows(
+                    feat_span, transformed.cols(), partitions[si].tree,
+                    block_sampled.leaf_offsets, neighbors, pool, pooled);
+            } else {
+                out.op_stats += ops::gatherMaxFeatureRows(
+                    feat_span, transformed.cols(), neighbors, pool,
+                    pooled);
+            }
             ops::maxPoolRelativeCoords(cur.cloud, sampled, neighbors,
                                        pool, ws, relpool);
             cur.cloud.subsetInto(sampled, next.cloud);
@@ -435,6 +433,9 @@ Network::run(const data::PointCloud &cloud,
 
         // --- Gathering ----------------------------------------------------
         // Attach current features to the cloud for gathering.
+        ops::GatherResult &gathered =
+            ws.slot<ops::GatherResult>("nn.gath");
+        Tensor &grouped = ws.slot<Tensor>("nn.grouped");
         feat_cloud = cur.cloud;
         feat_cloud.allocateFeatures(cur.features.cols());
         std::copy(cur.features.data().begin(),

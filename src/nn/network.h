@@ -53,10 +53,11 @@ namespace fc::nn {
  * k copies of each point — k-fold redundant FLOP work.
  *
  * Delayed is the Mesorasi-style compute-then-aggregate order: the
- * stage MLP runs once per *unique* input point, grouping becomes an
- * index-gather over the resulting feature tensor, and max-pool
- * aggregation follows. The per-pair relative coordinate the eager
- * MLP consumed is summarized at the pooling step instead
+ * stage MLP runs once per *unique* input point, and grouping becomes
+ * an index-gather over the resulting feature tensor fused with the
+ * max-pool (ops::gatherMaxFeatureRows: no [m x k x c] tensor is
+ * built). The per-pair relative coordinate the eager MLP consumed is
+ * summarized at the pooling step instead
  * (ops::maxPoolRelativeCoords) and concatenated into the coordinate
  * channels of the *next* stage's unique-point MLP input (stage 0
  * feeds zeros — each point taken relative to itself). Semantics are

@@ -96,7 +96,7 @@ void blockGatherNeighborhoods(
     core::Workspace &ws, GatherResult &out);
 
 // ---------------------------------------------------------------------
-// Feature-indexed gathering (delayed-aggregation inference)
+// Fused gather-max (delayed-aggregation inference)
 // ---------------------------------------------------------------------
 //
 // The eager execution order gathers raw [rel-coord, feature] rows and
@@ -104,46 +104,52 @@ void blockGatherNeighborhoods(
 // point. The delayed order (Mesorasi-style; see nn::Aggregation and
 // docs/ARCHITECTURE.md) runs the MLP once per unique point first, so
 // grouping becomes a pure index-gather over the resulting *feature
-// tensor* — these overloads are that gather. They know nothing about
-// coordinates: @p features is any row-major [n x channels] buffer and
-// the neighbor table supplies the row indices.
+// tensor*, and the max-pool follows at once. These ops fuse the two:
+// each center's k feature rows are folded into its pooled row as they
+// are read, so no [centers x k x channels] tensor is ever built. They
+// know nothing about coordinates: @p features is any row-major
+// [n x channels] buffer and the neighbor table supplies the row
+// indices.
 
 /**
- * Index-gather feature rows for each (center, neighbor) pair:
- * out.values is row-major [num_centers x k x channels] with row
- * (i, j) = features[neighbors.neighbor(i, j)]. Padded neighbor slots
- * replicate the pad index (so a following max-pool is unaffected);
- * kInvalidPoint slots yield zero rows, mirroring gatherNeighborhoods.
+ * Max over each center's neighbor feature rows: for every center i
+ * and channel c,
  *
- * Deterministic (pure indexing) and allocation-free once @p out has
- * warm capacity; @p features must hold at least
- * (max neighbor index + 1) * channels floats. Global-access
- * accounting: every row is a random access into the feature space.
+ *     out[i * channels + c] = max_j row(i, j)[c],
+ *
+ * folded in neighbor order j = 0, 1, ..., k - 1 with std::max, where
+ * row(i, j) = features[neighbors.neighbor(i, j)] and a kInvalidPoint
+ * slot reads as a zero row (padded slots repeat the pad index). The
+ * values are bit-identical to gathering the [centers x k x channels]
+ * rows and running nn::maxPoolGroups over them, -0.0/+0.0 ties
+ * included (the earlier row wins).
+ *
+ * @p out must hold num_centers * channels floats and @p features at
+ * least (max neighbor index + 1) * channels. Centers dispatch in
+ * chunks over @p pool onto disjoint output rows, so the result is
+ * bit-identical at any thread count; it allocates nothing. Returns the
+ * global-access accounting (every neighbor row is a random access
+ * into the feature space).
  */
-void gatherFeatureRows(std::span<const float> features,
-                       std::size_t channels,
-                       const NeighborResult &neighbors,
-                       core::Workspace &ws, GatherResult &out);
-
-/** Value-returning wrapper of gatherFeatureRows. */
-GatherResult gatherFeatureRows(std::span<const float> features,
-                               std::size_t channels,
-                               const NeighborResult &neighbors);
+OpStats gatherMaxFeatureRows(std::span<const float> features,
+                             std::size_t channels,
+                             const NeighborResult &neighbors,
+                             core::ThreadPool *pool,
+                             std::span<float> out);
 
 /**
- * Block-wise twin of gatherFeatureRows: identical values, block-wise
+ * Block-wise twin of gatherMaxFeatureRows: identical values, block-wise
  * memory accounting (each leaf streams its search-space block of the
  * feature tensor once), per-leaf work items dispatched over @p pool.
- * Every center owns a disjoint output range, so the result is
- * bit-identical to the sequential path at any thread count;
- * allocation-free once @p out has warm capacity.
+ * Every center owns a disjoint output row, so the result is
+ * bit-identical to the sequential path at any thread count.
  */
-void blockGatherFeatureRows(
+OpStats blockGatherMaxFeatureRows(
     std::span<const float> features, std::size_t channels,
     const part::BlockTree &tree,
     const std::vector<std::uint32_t> &center_leaf_offsets,
     const NeighborResult &neighbors, core::ThreadPool *pool,
-    core::Workspace &ws, GatherResult &out);
+    std::span<float> out);
 
 /**
  * The aggregation-step coordinate summary of the delayed order:

@@ -14,10 +14,14 @@
  *    root_partition reuse, and through the serving path.
  *  - Row accounting: sa_mlp_rows counts unique points (Delayed) vs
  *    gathered rows (Eager), and Delayed is strictly smaller.
- *  - Ops level: blockGatherFeatureRows == gatherFeatureRows values;
- *    maxPoolRelativeCoords on a handcrafted neighborhood.
+ *  - Ops level: the fused gather-max twins are bit-identical to a
+ *    gather followed by nn::maxPoolGroups (invalid and padded slots,
+ *    all-negative rows, signed-zero ties), agree with each other, and
+ *    keep the gather accounting; maxPoolRelativeCoords on a
+ *    handcrafted neighborhood.
  */
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -380,6 +384,96 @@ TEST(DelayedAggregation, RowAccountingCountsUniquePoints)
 // Ops level
 // ---------------------------------------------------------------------
 
+/**
+ * The unfused delayed aggregate, built here as the reference: gather
+ * each center's k neighbor rows into a [centers * k x channels]
+ * tensor (a kInvalidPoint slot is a zero row), then max-pool groups
+ * of k rows with nn::maxPoolGroups.
+ */
+std::vector<float>
+gatherThenPool(const std::vector<float> &features, std::size_t channels,
+               const ops::NeighborResult &nbr)
+{
+    nn::Tensor grouped(nbr.num_centers * nbr.k, channels);
+    for (std::size_t i = 0; i < nbr.num_centers; ++i)
+        for (std::size_t j = 0; j < nbr.k; ++j) {
+            const PointIdx nb = nbr.neighbor(i, j);
+            auto row = grouped.row(i * nbr.k + j);
+            for (std::size_t c = 0; c < channels; ++c)
+                row[c] = nb == kInvalidPoint
+                             ? 0.0f
+                             : features[std::size_t{nb} * channels + c];
+        }
+    nn::Tensor pooled;
+    nn::maxPoolGroups(grouped, nbr.k, nullptr, pooled);
+    return pooled.data();
+}
+
+/** Bit patterns, so -0.0 and +0.0 (and NaN payloads) compare apart. */
+std::vector<std::uint32_t>
+bitsOf(const std::vector<float> &values)
+{
+    std::vector<std::uint32_t> bits(values.size());
+    for (std::size_t i = 0; i < values.size(); ++i)
+        bits[i] = std::bit_cast<std::uint32_t>(values[i]);
+    return bits;
+}
+
+/** The global gather-max into a fresh buffer. */
+std::vector<float>
+globalGatherMax(const std::vector<float> &features, std::size_t channels,
+                const ops::NeighborResult &nbr, core::ThreadPool *pool,
+                ops::OpStats *stats = nullptr)
+{
+    std::vector<float> out(nbr.num_centers * channels, -1.0f);
+    const ops::OpStats s =
+        ops::gatherMaxFeatureRows(features, channels, nbr, pool, out);
+    if (stats != nullptr)
+        *stats = s;
+    return out;
+}
+
+TEST(FeatureGather, GatherMaxMatchesGatherThenPoolHandcrafted)
+{
+    // Five points, three channels. Point 3's row is all negative; the
+    // signed zeros of points 1 and 2 tie against each other and
+    // against the +0.0 an invalid slot contributes.
+    const std::size_t channels = 3;
+    const std::vector<float> features = {
+        1.0f,  -2.0f, 0.5f,   // 0
+        -0.0f, 0.0f,  -0.0f,  // 1
+        0.0f,  -0.0f, -0.0f,  // 2
+        -3.0f, -1.0f, -0.25f, // 3
+        -7.0f, 4.0f,  -0.5f,  // 4
+    };
+    ops::NeighborResult nbr;
+    nbr.num_centers = 6;
+    nbr.k = 4;
+    nbr.indices = {
+        0, 4, 0, 0,                                        // pads repeat 0
+        3, 3, 3, 3,                                        // all negative
+        1, 2, 1, 1,                                        // -0 first
+        2, 1, 2, 2,                                        // +0 first
+        3, kInvalidPoint, kInvalidPoint, kInvalidPoint,    // zero rows
+        kInvalidPoint, 1, 3, 1,                            // zero row first
+    };
+    nbr.counts = {2, 1, 2, 2, 1, 3};
+
+    const std::vector<float> expected =
+        gatherThenPool(features, channels, nbr);
+    // Spot-check the reference itself: the all-negative row keeps its
+    // values and an invalid slot lifts a negative channel to +0.0.
+    ASSERT_EQ(expected[3], -3.0f);
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(expected[12 + 0]),
+              std::bit_cast<std::uint32_t>(0.0f));
+    for (const unsigned threads : {1u, 2u, 4u}) {
+        core::ThreadPool pool(threads);
+        EXPECT_EQ(bitsOf(globalGatherMax(features, channels, nbr, &pool)),
+                  bitsOf(expected))
+            << threads << " threads";
+    }
+}
+
 TEST(FeatureGather, BlockMatchesGlobalValues)
 {
     const data::PointCloud scene = data::makeS3disScene(2048, 43);
@@ -389,31 +483,75 @@ TEST(FeatureGather, BlockMatchesGlobalValues)
     const FractalCloudPipeline pipeline(scene, options);
 
     const ops::BlockSampleResult sampled = pipeline.sample(0.25);
-    const ops::NeighborResult neighbors =
-        pipeline.group(sampled, 0.3f, 16);
+    ops::NeighborResult neighbors = pipeline.group(sampled, 0.3f, 16);
+    // Every few centers lose a slot to kInvalidPoint, so both twins
+    // fold zero rows too.
+    for (std::size_t i = 0; i < neighbors.num_centers; i += 7)
+        neighbors.indices[i * neighbors.k + neighbors.k - 1] =
+            kInvalidPoint;
 
-    // A synthetic per-point feature tensor (any row-major buffer).
+    // A synthetic per-point feature tensor (any row-major buffer)
+    // with negative values and signed zeros.
     const std::size_t channels = 8;
     std::vector<float> features(scene.size() * channels);
     for (std::size_t i = 0; i < features.size(); ++i)
         features[i] = static_cast<float>((i * 2654435761u) % 997) -
                       498.0f;
+    for (std::size_t i = 0; i < features.size(); i += 5)
+        features[i] = (i % 2 == 0) ? -0.0f : 0.0f;
 
-    const ops::GatherResult global =
-        ops::gatherFeatureRows(features, channels, neighbors);
+    const std::vector<float> expected =
+        gatherThenPool(features, channels, neighbors);
+    const std::vector<float> global =
+        globalGatherMax(features, channels, neighbors, pipeline.pool());
+    std::vector<float> block(neighbors.num_centers * channels, -1.0f);
+    ops::blockGatherMaxFeatureRows(features, channels, pipeline.tree(),
+                                   sampled.leaf_offsets, neighbors,
+                                   pipeline.pool(), block);
+    EXPECT_EQ(bitsOf(global), bitsOf(expected));
+    EXPECT_EQ(bitsOf(block), bitsOf(global));
+}
 
-    core::Workspace ws;
-    ops::GatherResult block;
-    ops::blockGatherFeatureRows(features, channels, pipeline.tree(),
-                                sampled.leaf_offsets, neighbors,
-                                pipeline.pool(), ws, block);
-    EXPECT_EQ(global.values, block.values);
-    EXPECT_EQ(global.num_centers, block.num_centers);
-    EXPECT_EQ(global.k, block.k);
-    EXPECT_EQ(global.channels, block.channels);
-    // Block accounting streams leaf search spaces instead of random
-    // access; both charge the same per-pair visit count.
-    EXPECT_EQ(global.stats.points_visited, block.stats.points_visited);
+TEST(FeatureGather, GatherMaxKeepsGatherAccounting)
+{
+    const data::PointCloud scene = data::makeS3disScene(2048, 44);
+    PipelineOptions options;
+    options.threshold = 64;
+    options.num_threads = 2;
+    const FractalCloudPipeline pipeline(scene, options);
+    const ops::BlockSampleResult sampled = pipeline.sample(0.25);
+    const ops::NeighborResult neighbors =
+        pipeline.group(sampled, 0.3f, 16);
+    const std::size_t channels = 8;
+    const std::vector<float> features(scene.size() * channels, 1.0f);
+
+    // Global: every (center, neighbor) pair is one random access of an
+    // fp16 feature row.
+    ops::OpStats global;
+    globalGatherMax(features, channels, neighbors, pipeline.pool(),
+                    &global);
+    const std::uint64_t pairs =
+        static_cast<std::uint64_t>(neighbors.num_centers) * neighbors.k;
+    EXPECT_EQ(global.points_visited, pairs);
+    EXPECT_EQ(global.bytes_gathered, pairs * channels * 2);
+
+    // Block: the same visits; bytes are one streamed fetch of each
+    // non-empty leaf's search space.
+    std::vector<float> block_out(neighbors.num_centers * channels);
+    const ops::OpStats block = ops::blockGatherMaxFeatureRows(
+        features, channels, pipeline.tree(), sampled.leaf_offsets,
+        neighbors, pipeline.pool(), block_out);
+    const part::BlockTree &tree = pipeline.tree();
+    std::uint64_t streamed = 0;
+    for (std::size_t li = 0; li < tree.leaves().size(); ++li)
+        if (sampled.leaf_offsets[li] != sampled.leaf_offsets[li + 1])
+            streamed +=
+                std::uint64_t{
+                    tree.node(tree.searchSpaceNode(tree.leaves()[li]))
+                        .size()} *
+                channels * 2;
+    EXPECT_EQ(block.points_visited, pairs);
+    EXPECT_EQ(block.bytes_gathered, streamed);
 }
 
 TEST(FeatureGather, MaxPoolRelativeCoordsHandcrafted)

@@ -9,9 +9,11 @@
  *    on adversarial inputs: all-equal points, denormal coordinates,
  *    every binary16 value, and sizes straddling the 8-lane vector
  *    remainder.
- *  - ULP bounds for the dot kernel (bit-equal is impossible across
- *    accumulation orders) and the <= 1 fp16 ULP guarantee after
- *    binary16 output rounding.
+ *  - The blocked linearRelu kernel: the scalar arm is bit-identical to
+ *    the historical LinearRelu loop; a row's output does not depend on
+ *    the batch, tile or thread count that computes it; and Avx2
+ *    (one FMA per step) stays within the documented ULP bound of the
+ *    scalar sum, <= 1 fp16 ULP after binary16 output rounding.
  *  - End-to-end: FPS / ball query / KNN identical across levels, and
  *    thread-count determinism with SIMD active (SimdDeterminism, in
  *    the TSan CI filter).
@@ -21,10 +23,12 @@
  * binary.
  */
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -370,10 +374,271 @@ TEST(SimdEquivalence, Fp32ToFp16MatchesSoftwareConverter)
 }
 
 // ---------------------------------------------------------------------
-// Dot kernel: ULP-bounded, not bit-equal
+// Blocked linearRelu kernel
 // ---------------------------------------------------------------------
 
-TEST(SimdAccuracy, DotAccWithinDocumentedUlpBound)
+/** A dense layer in plain [out x in] form plus its packed twin. */
+struct TestLayer
+{
+    std::size_t in = 0;
+    std::size_t out = 0;
+    bool relu = true;
+    std::vector<float> weights; ///< [out x in]
+    std::vector<float> bias;    ///< out
+    std::vector<float> panels;  ///< simd::PackedLinear layout
+    std::vector<float> padded_bias;
+
+    simd::PackedLinear
+    packed() const
+    {
+        return {panels.data(), padded_bias.data(), in, out, relu};
+    }
+};
+
+/** Pack @p layer's weights into the documented panel layout. */
+void
+pack(TestLayer &layer)
+{
+    const std::size_t width =
+        (layer.out + simd::kLinearPanel - 1) / simd::kLinearPanel *
+        simd::kLinearPanel;
+    layer.panels.assign(width * layer.in, 0.0f);
+    layer.padded_bias.assign(width, 0.0f);
+    for (std::size_t o = 0; o < layer.out; ++o) {
+        for (std::size_t i = 0; i < layer.in; ++i)
+            layer.panels[((o / simd::kLinearPanel) * layer.in + i) *
+                             simd::kLinearPanel +
+                         o % simd::kLinearPanel] =
+                layer.weights[o * layer.in + i];
+        layer.padded_bias[o] = layer.bias[o];
+    }
+}
+
+TestLayer
+randomLayer(std::size_t in, std::size_t out, bool relu,
+            std::uint64_t seed)
+{
+    Pcg32 rng(seed);
+    TestLayer layer;
+    layer.in = in;
+    layer.out = out;
+    layer.relu = relu;
+    layer.weights.resize(out * in);
+    layer.bias.resize(out);
+    for (float &w : layer.weights)
+        w = rng.uniform(-1.0f, 1.0f);
+    for (float &b : layer.bias)
+        b = rng.uniform(-0.5f, 0.5f);
+    pack(layer);
+    return layer;
+}
+
+std::vector<float>
+randomRows(std::size_t rows, std::size_t in, std::uint64_t seed)
+{
+    Pcg32 rng(seed);
+    std::vector<float> x(rows * in);
+    for (float &v : x)
+        v = rng.uniform(-1.0f, 1.0f);
+    return x;
+}
+
+/** The LinearRelu row loop as it stood before the blocked kernel: a
+ *  bias-seeded sequential sum per (row, output), ReLU, fp16 round. */
+std::vector<float>
+referenceLinearRelu(const TestLayer &layer, const std::vector<float> &x,
+                    std::size_t rows)
+{
+    std::vector<float> y(rows * layer.out);
+    for (std::size_t r = 0; r < rows; ++r)
+        for (std::size_t o = 0; o < layer.out; ++o) {
+            float acc = layer.bias[o];
+            for (std::size_t i = 0; i < layer.in; ++i)
+                acc += layer.weights[o * layer.in + i] *
+                       x[r * layer.in + i];
+            if (layer.relu && acc < 0.0f)
+                acc = 0.0f;
+            y[r * layer.out + o] = fp16Round(acc);
+        }
+    return y;
+}
+
+std::vector<std::uint32_t>
+bitsOf(const std::vector<float> &values)
+{
+    std::vector<std::uint32_t> bits(values.size());
+    for (std::size_t i = 0; i < values.size(); ++i)
+        bits[i] = std::bit_cast<std::uint32_t>(values[i]);
+    return bits;
+}
+
+/** Both levels where the machine has Avx2, else Scalar only. */
+std::vector<simd::Level>
+availableLevels()
+{
+    if (simd::avx2Available())
+        return {simd::Level::Scalar, simd::Level::Avx2};
+    return {simd::Level::Scalar};
+}
+
+TEST(SimdDeterminism, LinearReluScalarMatchesHistoricalLoop)
+{
+    LevelGuard guard;
+    ASSERT_TRUE(simd::setActiveLevel(simd::Level::Scalar));
+    // 2R + 3 rows: two full tiles and a partial one.
+    const std::size_t rows = 2 * simd::kLinearRowTile + 3;
+    for (const std::size_t in : {1, 3, 6, 131, 320})
+        for (const std::size_t out : {1, 3, 4, 13, 16, 17, 64, 256})
+            for (const bool relu : {true, false}) {
+                const TestLayer layer =
+                    randomLayer(in, out, relu, in * 1000 + out);
+                const std::vector<float> x =
+                    randomRows(rows, in, in + out);
+                std::vector<float> y(rows * out);
+                simd::linearRelu(layer.packed(), x.data(), rows,
+                                 y.data());
+                EXPECT_EQ(bitsOf(y),
+                          bitsOf(referenceLinearRelu(layer, x, rows)))
+                    << in << " -> " << out << " relu=" << relu;
+            }
+}
+
+TEST(SimdDeterminism, LinearReluRowIndependentOfBatchAndThreads)
+{
+    LevelGuard guard;
+    const std::size_t max_batch = 2 * simd::kLinearRowTile + 3;
+    const std::size_t rows = 40;
+    // 320 -> 256 cuts its rows into one-tile chunks (several chunks
+    // per batch); 13 -> 17 takes a whole batch in one chunk and ends
+    // on a partial output panel.
+    for (const auto &[in, out] :
+         {std::pair<std::size_t, std::size_t>{320, 256}, {13, 17}}) {
+        const nn::LinearRelu layer(in, out, in + out);
+        nn::Tensor x(rows, in);
+        x.data() = randomRows(rows, in, in * out);
+        x.quantizeFp16();
+        for (const simd::Level level : availableLevels()) {
+            ASSERT_TRUE(simd::setActiveLevel(level));
+            // Every row computed alone.
+            std::vector<float> alone;
+            for (std::size_t r = 0; r < rows; ++r) {
+                nn::Tensor one(1, in), y;
+                std::copy(x.row(r).begin(), x.row(r).end(),
+                          one.row(0).begin());
+                layer.forward(one, nullptr, y);
+                alone.insert(alone.end(), y.data().begin(),
+                             y.data().end());
+            }
+            for (const unsigned threads : {1u, 2u, 4u}) {
+                core::ThreadPool pool(threads);
+                for (std::size_t batch = 1; batch <= max_batch;
+                     ++batch) {
+                    std::vector<float> batched;
+                    for (std::size_t r0 = 0; r0 < rows; r0 += batch) {
+                        const std::size_t n = std::min(batch, rows - r0);
+                        nn::Tensor part(n, in), y;
+                        std::copy(x.row(r0).begin(),
+                                  x.row(r0).begin() + n * in,
+                                  part.data().begin());
+                        layer.forward(part, &pool, y);
+                        batched.insert(batched.end(), y.data().begin(),
+                                       y.data().end());
+                    }
+                    EXPECT_EQ(bitsOf(batched), bitsOf(alone))
+                        << simd::levelName(level) << " " << in << " -> "
+                        << out << " batch " << batch << ", "
+                        << threads << " threads";
+                }
+            }
+        }
+    }
+}
+
+TEST(SimdDeterminism, LinearReluLevelsAgreeAtLayerShapes)
+{
+    FC_REQUIRE_AVX2();
+    LevelGuard guard;
+    const std::size_t rows = 2 * simd::kLinearRowTile + 3;
+    for (const auto &[in, out] :
+         {std::pair<std::size_t, std::size_t>{131, 128}, {320, 256}}) {
+        const nn::LinearRelu layer(in, out, 11);
+        nn::Tensor x(rows, in);
+        x.data() = randomRows(rows, in, in + 5);
+        x.quantizeFp16();
+        nn::Tensor y_scalar, y_avx2;
+        ASSERT_TRUE(simd::setActiveLevel(simd::Level::Scalar));
+        layer.forward(x, nullptr, y_scalar);
+        ASSERT_TRUE(simd::setActiveLevel(simd::Level::Avx2));
+        layer.forward(x, nullptr, y_avx2);
+        for (std::size_t r = 0; r < rows; ++r)
+            for (std::size_t c = 0; c < out; ++c) {
+                const int rs =
+                    fp16Rank(fp32ToFp16Bits(y_scalar.at(r, c)));
+                const int ra = fp16Rank(fp32ToFp16Bits(y_avx2.at(r, c)));
+                EXPECT_LE(std::abs(rs - ra), 1)
+                    << in << " -> " << out << " row " << r << " col "
+                    << c;
+            }
+    }
+}
+
+/**
+ * One output of an (n + 2)-input, ReLU-free layer at the active level:
+ * fp16(init + sum_i a[i] * b[i] - c1 - c2), the last two terms being
+ * weight c_m times input -1.
+ */
+float
+linearSumMinus(float init, const std::vector<float> &a,
+               const std::vector<float> &b, float c1, float c2)
+{
+    TestLayer layer;
+    layer.in = a.size() + 2;
+    layer.out = 1;
+    layer.relu = false;
+    layer.bias = {init};
+    layer.weights = a;
+    layer.weights.push_back(c1);
+    layer.weights.push_back(c2);
+    pack(layer);
+    std::vector<float> x = b;
+    x.push_back(-1.0f);
+    x.push_back(-1.0f);
+    float y = 0.0f;
+    simd::linearRelu(layer.packed(), x.data(), 1, &y);
+    return y;
+}
+
+/**
+ * The fp32 sum S = init + sum_i a[i] * b[i] as the active level's
+ * linearRelu accumulates it, read exactly through its fp16 epilogue.
+ * The bias and weights are first scaled by a power of two that puts S
+ * near 2^10 (exact: every product and partial sum scales with it).
+ * Then C1 = fp16(S), C2 = fp16(S - C1) and C3 = fp16(S - C1 - C2):
+ * each subtraction is exact (Sterbenz, as c_m is the fp16 rounding of
+ * what it subtracts), the last remainder has at most three bits above
+ * ULP(S) >= 2^-14 and so is exact in binary16, and S = C1 + C2 + C3.
+ * @p rounded receives the unscaled output fp16(S).
+ */
+double
+accumulatedSum(float init, const std::vector<float> &a,
+               const std::vector<float> &b, float *rounded)
+{
+    *rounded = linearSumMinus(init, a, b, 0.0f, 0.0f);
+    EXPECT_NE(*rounded, 0.0f) << "sum too small to read back";
+    const int scale = 10 - std::ilogb(*rounded);
+    std::vector<float> scaled = a;
+    for (float &w : scaled)
+        w = std::ldexp(w, scale);
+    const float init_scaled = std::ldexp(init, scale);
+    const float c1 = linearSumMinus(init_scaled, scaled, b, 0.0f, 0.0f);
+    const float c2 = linearSumMinus(init_scaled, scaled, b, c1, 0.0f);
+    const float c3 = linearSumMinus(init_scaled, scaled, b, c1, c2);
+    return std::ldexp(static_cast<double>(c1) + static_cast<double>(c2) +
+                          static_cast<double>(c3),
+                      -scale);
+}
+
+TEST(SimdDeterminism, LinearReluWithinDocumentedUlpBound)
 {
     FC_REQUIRE_AVX2();
     LevelGuard guard;
@@ -391,10 +656,17 @@ TEST(SimdAccuracy, DotAccWithinDocumentedUlpBound)
         }
         const float init = 0.5f;
 
+        float out_scalar = 0.0f, out_avx2 = 0.0f;
         ASSERT_TRUE(simd::setActiveLevel(simd::Level::Scalar));
-        const float sum_scalar = simd::dotAcc(init, a.data(), b.data(), n);
+        const double sum_scalar = accumulatedSum(init, a, b, &out_scalar);
         ASSERT_TRUE(simd::setActiveLevel(simd::Level::Avx2));
-        const float sum_avx2 = simd::dotAcc(init, a.data(), b.data(), n);
+        const double sum_avx2 = accumulatedSum(init, a, b, &out_avx2);
+
+        // The scalar read-back is the historical running sum exactly.
+        float running = init;
+        for (std::size_t i = 0; i < n; ++i)
+            running += a[i] * b[i];
+        EXPECT_EQ(sum_scalar, static_cast<double>(running)) << "n=" << n;
 
         // ~(n/8 + 8) float ULP of sum_i |a_i b_i| (see core/simd.h).
         const double ulp =
@@ -408,8 +680,8 @@ TEST(SimdAccuracy, DotAccWithinDocumentedUlpBound)
 
         // After binary16 output rounding the two levels agree to
         // <= 1 fp16 ULP — the form every stored activation takes.
-        const int rank_scalar = fp16Rank(fp32ToFp16Bits(sum_scalar));
-        const int rank_avx2 = fp16Rank(fp32ToFp16Bits(sum_avx2));
+        const int rank_scalar = fp16Rank(fp32ToFp16Bits(out_scalar));
+        const int rank_avx2 = fp16Rank(fp32ToFp16Bits(out_avx2));
         EXPECT_LE(std::abs(rank_scalar - rank_avx2), 1) << "n=" << n;
     }
 }
@@ -426,10 +698,11 @@ TEST(SimdAccuracy, LinearReluLevelsAgreeWithinOneFp16Ulp)
             x.at(r, c) = rng.uniform(-1.0f, 1.0f);
     x.quantizeFp16();
 
+    nn::Tensor y_scalar, y_avx2;
     ASSERT_TRUE(simd::setActiveLevel(simd::Level::Scalar));
-    const nn::Tensor y_scalar = layer.forward(x);
+    layer.forward(x, nullptr, y_scalar);
     ASSERT_TRUE(simd::setActiveLevel(simd::Level::Avx2));
-    const nn::Tensor y_avx2 = layer.forward(x);
+    layer.forward(x, nullptr, y_avx2);
 
     ASSERT_EQ(y_scalar.rows(), y_avx2.rows());
     ASSERT_EQ(y_scalar.cols(), y_avx2.cols());

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/workspace.h"
 #include "nn/mlp.h"
 #include "nn/tensor.h"
 
@@ -38,8 +39,9 @@ TEST(LinearRelu, DeterministicWeights)
     Tensor x(2, 8);
     for (std::size_t c = 0; c < 8; ++c)
         x.at(0, c) = static_cast<float>(c);
-    const Tensor ya = a.forward(x);
-    const Tensor yb = b.forward(x);
+    Tensor ya, yb;
+    a.forward(x, nullptr, ya);
+    b.forward(x, nullptr, yb);
     for (std::size_t c = 0; c < 4; ++c)
         EXPECT_EQ(ya.at(0, c), yb.at(0, c));
 }
@@ -51,8 +53,9 @@ TEST(LinearRelu, DifferentSeedsDiffer)
     Tensor x(1, 8);
     for (std::size_t c = 0; c < 8; ++c)
         x.at(0, c) = 1.0f;
-    const Tensor ya = a.forward(x);
-    const Tensor yb = b.forward(x);
+    Tensor ya, yb;
+    a.forward(x, nullptr, ya);
+    b.forward(x, nullptr, yb);
     bool any_diff = false;
     for (std::size_t c = 0; c < 4; ++c)
         any_diff |= ya.at(0, c) != yb.at(0, c);
@@ -66,7 +69,8 @@ TEST(LinearRelu, ReluClampsNegative)
     for (std::size_t r = 0; r < 8; ++r)
         for (std::size_t c = 0; c < 4; ++c)
             x.at(r, c) = static_cast<float>(r) - 4.0f;
-    const Tensor y = layer.forward(x);
+    Tensor y;
+    layer.forward(x, nullptr, y);
     for (std::size_t r = 0; r < 8; ++r)
         for (std::size_t c = 0; c < 16; ++c)
             EXPECT_GE(y.at(r, c), 0.0f);
@@ -84,7 +88,9 @@ TEST(Mlp, ChainsLayers)
     EXPECT_EQ(mlp.inDim(), 6u);
     EXPECT_EQ(mlp.outDim(), 3u);
     Tensor x(5, 6);
-    const Tensor y = mlp.forward(x);
+    core::Workspace ws;
+    Tensor y;
+    mlp.forward(x, nullptr, ws, y);
     EXPECT_EQ(y.rows(), 5u);
     EXPECT_EQ(y.cols(), 3u);
     EXPECT_EQ(mlp.macs(5), 5u * (6 * 12 + 12 * 3));
@@ -97,7 +103,8 @@ TEST(MaxPool, GroupReduction)
         x.at(r, 0) = static_cast<float>(r);
         x.at(r, 1) = -static_cast<float>(r);
     }
-    const Tensor y = maxPoolGroups(x, 3);
+    Tensor y;
+    maxPoolGroups(x, 3, nullptr, y);
     ASSERT_EQ(y.rows(), 2u);
     EXPECT_FLOAT_EQ(y.at(0, 0), 2.0f);
     EXPECT_FLOAT_EQ(y.at(0, 1), 0.0f);
@@ -111,7 +118,8 @@ TEST(MaxPool, GlobalReduction)
     for (std::size_t r = 0; r < 4; ++r)
         for (std::size_t c = 0; c < 3; ++c)
             x.at(r, c) = static_cast<float>(r * 3 + c);
-    const Tensor y = globalMaxPool(x);
+    Tensor y;
+    globalMaxPool(x, y);
     ASSERT_EQ(y.rows(), 1u);
     EXPECT_FLOAT_EQ(y.at(0, 0), 9.0f);
     EXPECT_FLOAT_EQ(y.at(0, 2), 11.0f);
@@ -120,7 +128,8 @@ TEST(MaxPool, GlobalReduction)
 TEST(MaxPoolDeathTest, BadGroupSizePanics)
 {
     Tensor x(5, 2);
-    EXPECT_DEATH(maxPoolGroups(x, 3), "multiple");
+    Tensor y;
+    EXPECT_DEATH(maxPoolGroups(x, 3, nullptr, y), "multiple");
 }
 
 } // namespace
