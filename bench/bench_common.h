@@ -14,10 +14,15 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <map>
 #include <string>
+#include <vector>
 
+#include "common/alloc_count.h"
 #include "common/logging.h"
 #include "common/table.h"
 #include "dataset/s3dis.h"
@@ -33,6 +38,51 @@ scene(std::size_t n)
     if (it == cache.end())
         it = cache.emplace(n, fc::data::makeS3disScene(n, 1)).first;
     return it->second;
+}
+
+/** Best-of-reps wall time of @p fn, in seconds. */
+template <typename Fn>
+double
+bestSeconds(Fn &&fn, int reps)
+{
+    double best = 1e30;
+    for (int r = 0; r < reps; ++r) {
+        const auto start = std::chrono::steady_clock::now();
+        fn();
+        const std::chrono::duration<double> elapsed =
+            std::chrono::steady_clock::now() - start;
+        best = std::min(best, elapsed.count());
+    }
+    return best;
+}
+
+/** Median heap allocations and median wall milliseconds of one call. */
+struct Sample
+{
+    std::uint64_t allocs = 0;
+    double ms = 0.0;
+};
+
+/** Median-of-reps measurement of @p fn. Allocations count only in a
+ *  binary that includes common/alloc_hook.h (zero otherwise). */
+template <typename Fn>
+Sample
+measure(Fn &&fn, int reps)
+{
+    std::vector<std::uint64_t> allocs;
+    std::vector<double> ms;
+    for (int r = 0; r < reps; ++r) {
+        const std::uint64_t before = fc::heapAllocCount();
+        const auto start = std::chrono::steady_clock::now();
+        fn();
+        const std::chrono::duration<double, std::milli> elapsed =
+            std::chrono::steady_clock::now() - start;
+        allocs.push_back(fc::heapAllocCount() - before);
+        ms.push_back(elapsed.count());
+    }
+    std::sort(allocs.begin(), allocs.end());
+    std::sort(ms.begin(), ms.end());
+    return {allocs[allocs.size() / 2], ms[ms.size() / 2]};
 }
 
 /** Print a finished table and write `<name>.csv` beside the binary. */

@@ -15,7 +15,6 @@
  * models on fast caches can hide the FLOP saving behind the gather).
  */
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 
@@ -26,22 +25,6 @@
 namespace {
 
 constexpr std::size_t kScenePoints = 4096;
-
-/** Best-of-reps wall seconds for @p fn. */
-template <typename Fn>
-double
-bestSeconds(Fn &&fn, int reps)
-{
-    double best = 1e30;
-    for (int r = 0; r < reps; ++r) {
-        const auto start = std::chrono::steady_clock::now();
-        fn();
-        const std::chrono::duration<double> elapsed =
-            std::chrono::steady_clock::now() - start;
-        best = std::min(best, elapsed.count());
-    }
-    return best;
-}
 
 void
 delayedTable()
@@ -76,7 +59,7 @@ delayedTable()
             backend.aggregation = mode;
 
             fc::nn::InferenceResult result;
-            const double seconds = bestSeconds(
+            const double seconds = fcb::bestSeconds(
                 [&] {
                     result = net.run(scene, backend);
                     benchmark::DoNotOptimize(

@@ -29,8 +29,6 @@
  * uploaded artifacts; only the ORDERING above is gated.
  */
 
-#include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -55,32 +53,8 @@ namespace {
 constexpr int kReps = 5;
 constexpr unsigned kParseThreads = 4;
 
-struct Sample
-{
-    std::uint64_t allocs = 0;
-    double ms = 0.0;
-};
-
-/** Median-of-reps measurement of @p fn (allocs + wall ms). */
-template <typename Fn>
-Sample
-measure(Fn &&fn, int reps)
-{
-    std::vector<std::uint64_t> allocs;
-    std::vector<double> ms;
-    for (int r = 0; r < reps; ++r) {
-        const std::uint64_t before = fc::heapAllocCount();
-        const auto start = std::chrono::steady_clock::now();
-        fn();
-        const std::chrono::duration<double, std::milli> elapsed =
-            std::chrono::steady_clock::now() - start;
-        allocs.push_back(fc::heapAllocCount() - before);
-        ms.push_back(elapsed.count());
-    }
-    std::sort(allocs.begin(), allocs.end());
-    std::sort(ms.begin(), ms.end());
-    return {allocs[allocs.size() / 2], ms[ms.size() / 2]};
-}
+using fcb::measure;
+using fcb::Sample;
 
 std::size_t
 fileBytes(const std::string &path)

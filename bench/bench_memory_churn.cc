@@ -29,8 +29,6 @@
  * uploaded as artifacts.
  */
 
-#include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <vector>
 
@@ -51,32 +49,8 @@ namespace {
 constexpr std::size_t kPoints = 2048;
 constexpr int kReps = 7;
 
-struct Sample
-{
-    std::uint64_t allocs = 0;
-    double ms = 0.0;
-};
-
-/** Median-of-reps measurement of @p fn (allocs + wall ms). */
-template <typename Fn>
-Sample
-measure(Fn &&fn, int reps)
-{
-    std::vector<std::uint64_t> allocs;
-    std::vector<double> ms;
-    for (int r = 0; r < reps; ++r) {
-        const std::uint64_t before = fc::heapAllocCount();
-        const auto start = std::chrono::steady_clock::now();
-        fn();
-        const std::chrono::duration<double, std::milli> elapsed =
-            std::chrono::steady_clock::now() - start;
-        allocs.push_back(fc::heapAllocCount() - before);
-        ms.push_back(elapsed.count());
-    }
-    std::sort(allocs.begin(), allocs.end());
-    std::sort(ms.begin(), ms.end());
-    return {allocs[allocs.size() / 2], ms[ms.size() / 2]};
-}
+using fcb::measure;
+using fcb::Sample;
 
 void
 churnTable()
@@ -164,7 +138,7 @@ churnTable()
     fc::serve::AsyncPipeline server(serve_options);
     fc::BatchRequest request;
     request.network = &network;
-    for (int i = 0; i < 2; ++i) { // warm the workspace pool
+    for (int i = 0; i < 2; ++i) { // warm the shard's workspace
         fc::serve::RequestOutcome outcome;
         server.waitInto(server.submit(scene, request), outcome);
         benchmark::DoNotOptimize(outcome.state);

@@ -13,7 +13,6 @@
  * shows ~1x everywhere).
  */
 
-#include <chrono>
 #include <memory>
 
 #include "bench_common.h"
@@ -44,22 +43,6 @@ backend(fc::part::Method method, fc::core::ThreadPool *pool)
     return options;
 }
 
-/** Best-of-reps wall seconds for @p fn. */
-template <typename Fn>
-double
-bestSeconds(Fn &&fn, int reps)
-{
-    double best = 1e30;
-    for (int r = 0; r < reps; ++r) {
-        const auto start = std::chrono::steady_clock::now();
-        fn();
-        const std::chrono::duration<double> elapsed =
-            std::chrono::steady_clock::now() - start;
-        best = std::min(best, elapsed.count());
-    }
-    return best;
-}
-
 void
 scalingTable()
 {
@@ -83,7 +66,7 @@ scalingTable()
             if (threads > 1)
                 pool = std::make_unique<fc::core::ThreadPool>(threads);
             fc::nn::InferenceResult result;
-            const double seconds = bestSeconds(
+            const double seconds = fcb::bestSeconds(
                 [&] {
                     result = net.run(
                         scene, backend(mode.method, pool.get()));

@@ -17,8 +17,6 @@
  * everywhere).
  */
 
-#include <chrono>
-
 #include "bench_common.h"
 #include "core/pipeline.h"
 #include "serve/run_batch.h"
@@ -54,22 +52,6 @@ runSingle(const fc::data::PointCloud &scene, unsigned threads)
     benchmark::DoNotOptimize(gathered.values.data());
 }
 
-/** Best-of-reps wall seconds for @p fn. */
-template <typename Fn>
-double
-bestSeconds(Fn &&fn, int reps)
-{
-    double best = 1e30;
-    for (int r = 0; r < reps; ++r) {
-        const auto start = std::chrono::steady_clock::now();
-        fn();
-        const std::chrono::duration<double> elapsed =
-            std::chrono::steady_clock::now() - start;
-        best = std::min(best, elapsed.count());
-    }
-    return best;
-}
-
 void
 scalingTable()
 {
@@ -90,7 +72,7 @@ scalingTable()
     double batch_base = 0.0;
     for (const unsigned threads : kThreadSweep) {
         const double single_s =
-            bestSeconds([&] { runSingle(single, threads); }, 3);
+            fcb::bestSeconds([&] { runSingle(single, threads); }, 3);
         if (threads == 1)
             single_base = single_s;
         table.addRow(
@@ -102,7 +84,7 @@ scalingTable()
                  "M",
              fc::Table::mult(single_base / single_s)});
 
-        const double batch_s = bestSeconds(
+        const double batch_s = fcb::bestSeconds(
             [&] {
                 const auto results = fc::serve::runBatch(
                     batch, options(threads), request);

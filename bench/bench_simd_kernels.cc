@@ -20,7 +20,6 @@
  */
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdint>
 #include <cstdlib>
@@ -37,22 +36,6 @@
 namespace {
 
 namespace simd = fc::core::simd;
-
-/** Best-of-reps wall time of @p fn, in milliseconds. */
-template <typename Fn>
-double
-bestMs(Fn &&fn, int reps)
-{
-    double best = std::numeric_limits<double>::max();
-    for (int r = 0; r < reps; ++r) {
-        const auto start = std::chrono::steady_clock::now();
-        fn();
-        const std::chrono::duration<double, std::milli> elapsed =
-            std::chrono::steady_clock::now() - start;
-        best = std::min(best, elapsed.count());
-    }
-    return best;
-}
 
 /** One kernel row: run @p fn at Scalar and at the dispatched level. */
 struct KernelTiming
@@ -73,10 +56,10 @@ timeBothLevels(Fn &&fn, int reps)
 {
     KernelTiming t;
     simd::setActiveLevel(simd::Level::Scalar);
-    t.scalar_ms = bestMs(fn, reps);
+    t.scalar_ms = 1e3 * fcb::bestSeconds(fn, reps);
     if (simd::avx2Available()) {
         simd::setActiveLevel(simd::Level::Avx2);
-        t.simd_ms = bestMs(fn, reps);
+        t.simd_ms = 1e3 * fcb::bestSeconds(fn, reps);
         simd::setActiveLevel(simd::Level::Scalar);
     } else {
         t.simd_ms = t.scalar_ms;
@@ -206,7 +189,7 @@ simdTable()
     fc::core::Workspace ws;
     fc::nn::InferenceResult out;
     network.run(scene, backend, ws, out); // warm the workspace
-    const double e2e_ms = bestMs(
+    const double e2e_ms = 1e3 * fcb::bestSeconds(
         [&] {
             ws.reset();
             network.run(scene, backend, ws, out);

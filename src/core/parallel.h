@@ -297,8 +297,8 @@ class ThreadPool
      * destroyed (the serving layer tracks this via its Scheduler).
      *
      * Small callables ride the detached lane's InlineTask ring
-     * without touching the heap — with the workspace pools and the
-     * scheduler's result slots of fc::serve this keeps the whole warm
+     * without touching the heap — with the scheduler-owned
+     * workspaces and result slots of fc::serve this keeps the whole warm
      * submit->poll round trip allocation-free.
      */
     template <typename Fn>

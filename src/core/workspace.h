@@ -31,8 +31,9 @@
  * arena().allocate() may be called concurrently from pool tasks
  * processing that request. Growth happens only on first-seen larger
  * shapes — see ops/, nn/network.cc, and serve/async_pipeline.h for
- * the layers drawing from it, and tests/test_workspace.cc for the
- * counting-allocator proof.
+ * the layers drawing from it, serve/scheduler.h for the per-shard
+ * slab that owns the serving path's workspaces, and
+ * tests/test_workspace.cc for the counting-allocator proof.
  */
 
 #ifndef FC_CORE_WORKSPACE_H

@@ -76,16 +76,6 @@ makeBlockSample(const part::BlockTree &tree,
     }
 }
 
-ops::BlockSampleResult
-makeBlockSample(const part::BlockTree &tree,
-                const std::vector<PointIdx> &indices)
-{
-    core::Workspace ws;
-    ops::BlockSampleResult out;
-    makeBlockSample(tree, indices, ws, out);
-    return out;
-}
-
 Network::Network(ModelConfig config, std::uint64_t seed)
     : config_(std::move(config)), headMlp_()
 {

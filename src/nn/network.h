@@ -246,14 +246,9 @@ class Network
 /**
  * Group arbitrary sampled indices by leaf of @p tree, producing the
  * BlockSampleResult layout expected by block-wise neighbor search
- * (samples are reordered by DFT position).
+ * (samples are reordered by DFT position). The inverse-permutation
+ * scratch comes from @p ws's arena and @p out reuses its capacity.
  */
-ops::BlockSampleResult
-makeBlockSample(const part::BlockTree &tree,
-                const std::vector<PointIdx> &indices);
-
-/** Workspace overload: the inverse-permutation scratch comes from
- *  @p ws's arena and @p out reuses its capacity. */
 void makeBlockSample(const part::BlockTree &tree,
                      const std::vector<PointIdx> &indices,
                      core::Workspace &ws,

@@ -29,23 +29,6 @@ AsyncPipeline::AsyncPipeline(const ServeOptions &options)
             std::string("serve.stage_us{stage=") + kStageLabels[i] +
             "}");
     rejected_ = &registry_.counter("serve.rejected");
-    ws_checkouts_ = &registry_.counter("serve.workspace_checkouts");
-    ws_created_gauge_ = &registry_.gauge("serve.workspaces_created");
-
-    // One workspace pool per shard, instruments registered up front
-    // so the serve path mutates pointers only.
-    pools_.reserve(executor_.numShards());
-    for (unsigned s = 0; s < executor_.numShards(); ++s) {
-        auto pool = std::make_unique<ShardPool>();
-        const std::string tag = "{shard=" + std::to_string(s) + "}";
-        pool->checkout =
-            &registry_.counter("serve.workspace.checkout" + tag);
-        pool->created =
-            &registry_.gauge("serve.workspace.created" + tag);
-        pool->foreign_return =
-            &registry_.counter("serve.workspace.foreign_return" + tag);
-        pools_.push_back(std::move(pool));
-    }
 }
 
 AsyncPipeline::~AsyncPipeline()
@@ -122,63 +105,6 @@ AsyncPipeline::notifyObserver(std::uint64_t id, Stage stage)
         options_.stage_observer(Ticket{id}, stage);
 }
 
-std::unique_ptr<AsyncPipeline::ShardWorkspace>
-AsyncPipeline::checkoutWorkspace(unsigned shard)
-{
-    ShardPool &pool = *pools_[shard];
-    ws_checkouts_->add();
-    pool.checkout->add();
-    {
-        std::lock_guard<std::mutex> lock(pool.mutex);
-        if (!pool.ws_free.empty()) {
-            std::unique_ptr<ShardWorkspace> ws =
-                std::move(pool.ws_free.back());
-            pool.ws_free.pop_back();
-            ws->ws.reset();
-            return ws;
-        }
-        ++pool.ws_created;
-        pool.created->set(
-            static_cast<std::int64_t>(pool.ws_created));
-    }
-    // Cold path: first request at this shard's concurrency level.
-    // The pool can never exceed the shard's thread count (one
-    // checkout per executor task).
-    const std::size_t total =
-        ws_created_total_.fetch_add(1, std::memory_order_relaxed) + 1;
-    ws_created_gauge_->set(static_cast<std::int64_t>(total));
-    auto ws = std::make_unique<ShardWorkspace>();
-    ws->owner = shard;
-    return ws;
-}
-
-void
-AsyncPipeline::checkinWorkspace(std::unique_ptr<ShardWorkspace> ws,
-                                unsigned returning_shard)
-{
-    ShardPool &pool = *pools_[ws->owner];
-    if (returning_shard != ws->owner)
-        pool.foreign_return->add(); // tripwire: should stay 0
-    std::lock_guard<std::mutex> lock(pool.mutex);
-    pool.ws_free.push_back(std::move(ws));
-}
-
-std::size_t
-AsyncPipeline::workspacesCreated() const
-{
-    return ws_created_total_.load(std::memory_order_relaxed);
-}
-
-std::size_t
-AsyncPipeline::workspacesCreated(unsigned shard) const
-{
-    fc_assert(shard < pools_.size(),
-              "workspacesCreated on unknown shard %u", shard);
-    ShardPool &pool = *pools_[shard];
-    std::lock_guard<std::mutex> lock(pool.mutex);
-    return pool.ws_created;
-}
-
 void
 AsyncPipeline::execute(unsigned shard)
 {
@@ -209,24 +135,6 @@ AsyncPipeline::execute(unsigned shard)
     const std::uint64_t id = job->id;
     const data::PointCloud &cloud = *job->cloud;
 
-    // One warm workspace per ticket: intermediates (the partition,
-    // op scratch, the inference stage's level buffers) reuse memory
-    // grown by earlier requests of this shard. The lease scope
-    // closes *before* the terminal complete()/fail() transition: the
-    // moment a waiter observes the outcome, the workspace is already
-    // back on its shard's free list, so back-to-back sequential
-    // requests reuse one workspace deterministically.
-    struct WorkspaceLease
-    {
-        AsyncPipeline *owner;
-        std::unique_ptr<ShardWorkspace> ws;
-        unsigned shard;
-        ~WorkspaceLease()
-        {
-            owner->checkinWorkspace(std::move(ws), shard);
-        }
-    };
-
     // Per-stage service-time telemetry: lap() charges the time since
     // the previous boundary to one stage histogram. The two
     // steady-clock reads per stage cost nanoseconds against
@@ -248,15 +156,15 @@ AsyncPipeline::execute(unsigned shard)
     // The result payload lives in the slot the scheduler checked out
     // of this shard's slab; stages write into it in place (the Into
     // ops clear what they fill), so a recycled slot's stale content
-    // is never observable. The slot stays the scheduler's: an early
-    // exit (checkpoint retire, failure) returns it inside that
-    // retirement, and complete() leaves it with the record for
-    // waitInto.
+    // is never observable. The workspace holds the intermediates
+    // (the partition, op scratch, the inference stage's level
+    // buffers) in memory grown by earlier requests of this shard.
+    // Both stay the scheduler's: every retirement (checkpoint,
+    // failure, complete) returns the workspace, and every one but
+    // complete() returns the slot, so neither is touched after it.
     BatchResult &out = *job->result;
+    core::Workspace &ws = *job->workspace;
     try {
-        WorkspaceLease lease{this, checkoutWorkspace(shard), shard};
-        core::Workspace &ws = lease.ws->ws;
-
         notifyObserver(id, Stage::Started);
         if (!scheduler_.checkpoint(id, &spill_shard))
             return;
@@ -336,12 +244,12 @@ AsyncPipeline::execute(unsigned shard)
             // optional's engagement.
             out.inference.reset();
         }
-        // Lease scope ends here: the workspace is checked in before
-        // the request becomes observable as Done.
     } catch (...) {
+        job->cloud.reset(); // see Scheduler::Job::cloud
         scheduler_.fail(id, std::current_exception());
         return;
     }
+    job->cloud.reset();
     scheduler_.complete(id);
 }
 

@@ -30,25 +30,22 @@
  *     one-per-thread. The decision is re-evaluated at every stage
  *     boundary, so the last big request of a batch starts spilling
  *     once its peers finish, and
- *   - per-SHARD free-list pools of core::Workspace instances, one
- *     checked out per ticket on its placement shard: every request's
+ *   - per-shard workspaces and result slots, both owned by the
+ *     Scheduler (see serve/scheduler.h) and checked out when a
+ *     request starts on its placement shard. Every request's
  *     intermediates (partition trees, op scratch, the inference
  *     stage's per-level buffers) draw from a workspace warmed by
- *     earlier requests OF THE SAME SHARD, so with pinned workers a
- *     workspace's pages stay on the NUMA node that touched them.
- *     Cross-shard spill borrows a neighbor's COMPUTE only — the
- *     workspace always belongs to the home shard's pool. Each pool
- *     never exceeds its shard's thread count, so steady-state memory
- *     is bounded by the largest shapes seen, and
- *   - per-shard result slots owned by the Scheduler: the BatchResult
- *     payload itself lives in a slot the scheduler checks out when
- *     the request starts and keeps with the record until the
- *     consuming waitInto (see serve/scheduler.h). waitInto() swaps
- *     the payload with the caller's: a reused RequestOutcome hands
- *     its warm buffers back to the slot, so a warm same-shape submit
- *     -> poll -> waitInto round trip performs ZERO heap allocations
- *     end to end, and a fresh one leaves the slot empty (it regrows
- *     on next use).
+ *     earlier requests OF THE SAME SHARD, so with pinned workers its
+ *     pages stay on the NUMA node that touched them; cross-shard
+ *     spill borrows a neighbor's COMPUTE only. The workspace returns
+ *     at every retirement, so a shard never holds more than its
+ *     thread count and steady-state memory is bounded by the largest
+ *     shapes seen. The BatchResult payload lives in the result slot
+ *     until the consuming waitInto(), which swaps it with the
+ *     caller's: a reused RequestOutcome hands its warm buffers back
+ *     to the slot, so a warm same-shape submit -> poll -> waitInto
+ *     round trip performs ZERO heap allocations end to end, and a
+ *     fresh one leaves the slot empty (it regrows on next use).
  *
  * Results are byte-identical to the blocking path at any thread
  * count: every stage is deterministic with respect to its pool, so
@@ -64,18 +61,14 @@
 #ifndef FC_SERVE_ASYNC_PIPELINE_H
 #define FC_SERVE_ASYNC_PIPELINE_H
 
-#include <atomic>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
-#include <vector>
 
 #include "core/metrics.h"
 #include "core/parallel.h"
 #include "core/pipeline.h"
 #include "core/sharded_executor.h"
-#include "core/workspace.h"
 #include "serve/scheduler.h"
 
 namespace fc::serve {
@@ -278,17 +271,16 @@ class AsyncPipeline
         return scheduler_.runningCount(shard);
     }
 
-    /**
-     * Workspaces created so far, summed over shards (telemetry):
-     * stops growing once every concurrent executor has one —
-     * sequential same-shape traffic reports 1, proving warm reuse.
-     */
-    std::size_t workspacesCreated() const;
-
-    /** Workspaces created by @p shard's pool alone: flat per shard
-     *  under steady per-shard concurrency, proving checkouts never
-     *  migrate across pools. */
-    std::size_t workspacesCreated(unsigned shard) const;
+    /** Workspaces created so far, summed over shards or by
+     *  @p shard alone; see Scheduler::workspacesCreated. */
+    std::size_t workspacesCreated() const
+    {
+        return scheduler_.workspacesCreated();
+    }
+    std::size_t workspacesCreated(unsigned shard) const
+    {
+        return scheduler_.workspacesCreated(shard);
+    }
 
     /** Result slots created so far, summed over shards: bounded by
      *  running requests plus unconsumed Done tickets. */
@@ -299,11 +291,11 @@ class AsyncPipeline
 
     /**
      * The pipeline's metrics registry: per-(shard x class) queue
-     * depth / wait / latency and result-slot instruments
-     * (Scheduler), per-stage
-     * latency histograms and admission/workspace telemetry (this
-     * class), per-shard executor task counts (ShardedExecutor), and
-     * the inference stage's per-stage nn timings. Render it with
+     * depth / wait / latency, result-slot and workspace instruments
+     * (Scheduler), per-stage latency histograms and admission
+     * rejections (this class), per-shard executor task counts
+     * (ShardedExecutor), and the inference stage's per-stage nn
+     * timings. Render it with
      * serve::renderStats / renderStatsJson (serve/stats.h); mutation
      * cost is governed by core::metrics::setSampling.
      */
@@ -317,43 +309,11 @@ class AsyncPipeline
     }
 
   private:
-    /** A pooled workspace tagged with the shard whose pool owns it:
-     *  check-in always routes back to the owner, wherever the lease
-     *  ends up (foreign returns are counted — a tripwire, since the
-     *  executor task itself never migrates off its home shard). */
-    struct ShardWorkspace
-    {
-        core::Workspace ws;
-        unsigned owner = 0;
-    };
-
-    /** One shard's workspace free list (request intermediates) plus
-     *  its instruments. */
-    struct ShardPool
-    {
-        std::mutex mutex;
-        std::vector<std::unique_ptr<ShardWorkspace>> ws_free;
-        std::size_t ws_created = 0;
-
-        core::metrics::Counter *checkout = nullptr;
-        core::metrics::Gauge *created = nullptr;
-        core::metrics::Counter *foreign_return = nullptr;
-    };
-
     /** Executor task body: process (or retire) the best queued
      *  request of @p shard. */
     void execute(unsigned shard);
 
     void notifyObserver(std::uint64_t id, Stage stage);
-
-    /** Pop a warm workspace from @p shard's pool (reset) or create
-     *  one (first-seen per-shard concurrency). */
-    std::unique_ptr<ShardWorkspace> checkoutWorkspace(unsigned shard);
-
-    /** Return @p ws to its OWNER's free list; @p returning_shard only
-     *  feeds the foreign-return tripwire counter. */
-    void checkinWorkspace(std::unique_ptr<ShardWorkspace> ws,
-                          unsigned returning_shard);
 
     ServeOptions options_;
 
@@ -371,24 +331,6 @@ class AsyncPipeline
 
     /** Admission rejections (trySubmit returning nullopt). */
     core::metrics::Counter *rejected_ = nullptr;
-
-    /** Aggregate workspace telemetry, kept for /stats compatibility:
-     *  the counter sums checkouts over all shards; the gauge mirrors
-     *  workspacesCreated(). Per-shard instruments live in pools_. */
-    core::metrics::Counter *ws_checkouts_ = nullptr;
-    core::metrics::Gauge *ws_created_gauge_ = nullptr;
-
-    /** Workspace-creation total across shards (atomic: creations on
-     *  different shards race only on this). */
-    std::atomic<std::size_t> ws_created_total_{0};
-
-    /** Declared before executor_ deliberately: an executor task
-     *  that stops at a checkpoint returns its workspace lease after
-     *  its request retired — ~AsyncPipeline retires all requests,
-     *  the shard pools join their workers, and only after both may
-     *  the pools die. unique_ptr elements keep each ShardPool's
-     *  mutex at a stable address. */
-    std::vector<std::unique_ptr<ShardPool>> pools_;
 
     core::ShardedExecutor executor_;
     Scheduler scheduler_;

@@ -104,6 +104,8 @@ Scheduler::Scheduler(std::size_t queue_capacity, unsigned num_threads,
     // Register the full instrument matrix up front: every later
     // mutation is a pointer dereference, no name lookups (and no
     // allocations) on the serving path.
+    workspace_checkouts_ = &registry->counter("serve.workspace_checkouts");
+    workspaces_created_ = &registry->gauge("serve.workspaces_created");
     metrics_.resize(num_shards);
     for (unsigned s = 0; s < num_shards; ++s) {
         ShardMetrics &sm = metrics_[s];
@@ -133,6 +135,12 @@ Scheduler::Scheduler(std::size_t queue_capacity, unsigned num_threads,
             &registry->counter(shardName("outcome.checkout", s));
         sm.outcome_created =
             &registry->gauge(shardName("outcome.created", s));
+        sm.workspace_checkout =
+            &registry->counter(shardName("workspace.checkout", s));
+        sm.workspace_created =
+            &registry->gauge(shardName("workspace.created", s));
+        sm.workspace_foreign_return =
+            &registry->counter(shardName("workspace.foreign_return", s));
     }
 }
 
@@ -262,7 +270,10 @@ Scheduler::retireLocked(std::uint64_t id, Record &record,
             break;
         }
     }
-    record.cloud.reset(); // free the input as soon as possible
+    record.cloud.reset(); // a request retired before it started
+    // Returned in the critical section that publishes the state: a
+    // waiter that sees it terminal finds the workspace back.
+    releaseWorkspaceLocked(record);
     if (state != RequestState::Done)
         releaseResultLocked(record); // nothing to hand over
     if (record.abandoned)
@@ -396,16 +407,16 @@ Scheduler::acquire(unsigned shard)
             .classes[static_cast<unsigned>(record.priority)]
             .wait_us->record(usBetween(record.timing.submitted, now));
     assignSpillLocked(record, spillShardLocked(shard));
-
-    record.result = checkoutResultLocked(shard);
+    checkoutLocked(record);
 
     Job job;
     job.id = id;
-    job.cloud = record.cloud;
+    job.cloud = std::move(record.cloud);
     job.request = record.request;
     job.shard = shard;
     job.spill_shard = record.spill_shard;
     job.result = record.result;
+    job.workspace = record.workspace;
     return job;
 }
 
@@ -549,26 +560,33 @@ Scheduler::reclaimRecordLocked(std::uint64_t id)
     record_nodes_.push_back(std::move(nh));
 }
 
-BatchResult *
-Scheduler::checkoutResultLocked(unsigned shard)
+void
+Scheduler::checkoutLocked(Record &record)
 {
-    ShardState &st = shards_[shard];
-    BatchResult *result;
-    if (!st.free_results.empty()) {
-        result = st.free_results.back(); // capacity intact
-        st.free_results.pop_back();
-    } else {
-        // Cold path: grow the slab. Its size is bounded by the peak
-        // of running plus unconsumed Done requests on this shard.
-        st.results.push_back(std::make_unique<BatchResult>());
-        result = st.results.back().get();
-        if (!metrics_.empty())
-            metrics_[shard].outcome_created->set(
-                static_cast<std::int64_t>(st.results.size()));
+    ShardState &st = shards_[record.shard];
+    const std::size_t results = st.results.all.size();
+    const std::size_t workspaces = st.workspaces.all.size();
+    // Either slab grows only on first-seen concurrency: results up to
+    // the peak of running plus unconsumed Done requests on this
+    // shard, workspaces up to its thread count.
+    record.result = st.results.checkout(); // capacity intact
+    record.workspace = st.workspaces.checkout();
+    record.workspace->reset();
+    if (metrics_.empty())
+        return;
+    ShardMetrics &sm = metrics_[record.shard];
+    sm.outcome_checkout->add();
+    sm.workspace_checkout->add();
+    workspace_checkouts_->add();
+    if (st.results.all.size() != results)
+        sm.outcome_created->set(
+            static_cast<std::int64_t>(st.results.all.size()));
+    if (st.workspaces.all.size() != workspaces) {
+        sm.workspace_created->set(
+            static_cast<std::int64_t>(st.workspaces.all.size()));
+        workspaces_created_->set(
+            static_cast<std::int64_t>(workspacesCreatedLocked()));
     }
-    if (!metrics_.empty())
-        metrics_[shard].outcome_checkout->add();
-    return result;
 }
 
 void
@@ -576,8 +594,22 @@ Scheduler::releaseResultLocked(Record &record)
 {
     if (record.result == nullptr)
         return;
-    shards_[record.shard].free_results.push_back(record.result);
+    shards_[record.shard].results.free.push_back(record.result);
     record.result = nullptr;
+}
+
+void
+Scheduler::releaseWorkspaceLocked(Record &record)
+{
+    if (record.workspace == nullptr)
+        return;
+    Slab<core::Workspace> &slab = shards_[record.shard].workspaces;
+    // Owner check, a tripwire that should stay 0: acquire took the
+    // workspace out of this same slab.
+    if (!slab.owns(record.workspace) && !metrics_.empty())
+        metrics_[record.shard].workspace_foreign_return->add();
+    slab.free.push_back(record.workspace);
+    record.workspace = nullptr;
 }
 
 bool
@@ -631,8 +663,33 @@ Scheduler::outcomeSlotsCreated() const
     std::lock_guard<std::mutex> lock(mutex_);
     std::size_t total = 0;
     for (const ShardState &st : shards_)
-        total += st.results.size();
+        total += st.results.all.size();
     return total;
+}
+
+std::size_t
+Scheduler::workspacesCreatedLocked() const
+{
+    std::size_t total = 0;
+    for (const ShardState &st : shards_)
+        total += st.workspaces.all.size();
+    return total;
+}
+
+std::size_t
+Scheduler::workspacesCreated() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return workspacesCreatedLocked();
+}
+
+std::size_t
+Scheduler::workspacesCreated(unsigned shard) const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    fc_assert(shard < shards_.size(),
+              "workspacesCreated on unknown shard %u", shard);
+    return shards_[shard].workspaces.all.size();
 }
 
 std::size_t

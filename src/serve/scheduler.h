@@ -15,11 +15,12 @@
  *                             trySubmit fails when full),
  *   acquire(shard)            pop the best head of one shard's
  *                             priority queues and check out one of
- *                             that shard's result slots for it (the
- *                             Job's `result`); requests already
- *                             cancelled or past their deadline are
- *                             retired here without running, and get
- *                             no slot,
+ *                             that shard's result slots and one of
+ *                             its reset workspaces for it (the Job's
+ *                             `result` and `workspace`); requests
+ *                             already cancelled or past their
+ *                             deadline are retired here without
+ *                             running, and get neither,
  *   checkpoint                mid-run cancel/deadline probe at stage
  *                             boundaries; retires the request when it
  *                             answers false,
@@ -28,15 +29,18 @@
  *                             waitInto is the one way to consume a
  *                             ticket.
  *
- * Result slots: each shard owns a slab of capacity-retaining
- * BatchResults, guarded by the scheduler mutex like every other
- * transition. A slot is checked out when a request starts running
- * and goes back to its shard's free list when the request retires
- * anything but Done (Cancelled or Expired at a checkpoint, Failed).
- * A Done request keeps its slot until waitInto swaps the payload out
- * (the caller's old buffers return with the slot) or until discard
- * reclaims the record. Slots are therefore bounded by running
- * requests plus unconsumed Done tickets; queued requests hold none.
+ * Per-request resources: each shard owns a slab of capacity-retaining
+ * BatchResults (result slots) and one of core::Workspaces (request
+ * intermediates), guarded by the scheduler mutex like every other
+ * transition, and checked out when a request starts running. The
+ * workspace returns at EVERY retirement, Done included, in the
+ * critical section that publishes the terminal state, so a waiter
+ * that observes the outcome finds it back and a shard never holds
+ * more workspaces than threads. The result slot returns when the
+ * request retires anything but Done; a Done request keeps it until
+ * waitInto swaps the payload out (the caller's old buffers return
+ * with the slot) or discard reclaims the record. Queued requests
+ * hold neither.
  *
  * Placement: each request hashes onto a shard via core::ShardMap —
  * by its ticket id by default (spreads uniform traffic evenly), or by
@@ -79,6 +83,7 @@
 #ifndef FC_SERVE_SCHEDULER_H
 #define FC_SERVE_SCHEDULER_H
 
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <condition_variable>
@@ -95,6 +100,7 @@
 #include "core/parallel.h"
 #include "core/pipeline.h"
 #include "core/sharded_executor.h"
+#include "core/workspace.h"
 #include "dataset/point_cloud.h"
 
 namespace fc::serve {
@@ -196,7 +202,13 @@ class Scheduler
     struct Job
     {
         std::uint64_t id = 0;
+
+        /** The input, moved out of the record: the executor holds the
+         *  only serve-side reference and drops it before complete()
+         *  or fail(), so a waiter woken by Done or Failed never keeps
+         *  the cloud (or a zero-copy cloud's file mapping) alive. */
         std::shared_ptr<const data::PointCloud> cloud;
+
         BatchRequest request;
 
         /** Shard this request was placed on (== the acquiring
@@ -212,6 +224,13 @@ class Scheduler
          *  valid until the request's terminal transition. Its stale
          *  content from an earlier request must be overwritten. */
         BatchResult *result = nullptr;
+
+        /** The request's workspace, reset (arena rewound, slots
+         *  warm). Owned by the scheduler; returned to the shard by
+         *  the terminal transition, so the executor must not touch
+         *  it after checkpoint() answers false, complete() or
+         *  fail(). */
+        core::Workspace *workspace = nullptr;
     };
 
     /**
@@ -224,9 +243,9 @@ class Scheduler
      *                        and maintains its serving telemetry
      *                        (per-(shard x class) queue depth, wait
      *                        and latency histograms, pop/spill/borrow
-     *                        and outcome counters, result-slot
-     *                        checkouts and slab size) in it; must
-     *                        outlive the scheduler
+     *                        and outcome counters, result-slot and
+     *                        workspace checkouts and slab sizes) in
+     *                        it; must outlive the scheduler
      */
     Scheduler(std::size_t queue_capacity, unsigned num_threads,
               unsigned num_shards = 1,
@@ -274,10 +293,11 @@ class Scheduler
      * Pop the best queued request of @p shard (must be non-empty:
      * one executor task exists per request admitted to the shard).
      * Aging credits are charged and the winning class's head is
-     * popped. Returns the job to run, with a result slot checked out
-     * of @p shard's slab, or nullopt when that request was already
-     * cancelled or past its deadline — the record is retired
-     * (Cancelled/Expired) and the executor has nothing to do.
+     * popped. Returns the job to run, with a result slot and a reset
+     * workspace checked out of @p shard's slabs, or nullopt when that
+     * request was already cancelled or past its deadline — the record
+     * is retired (Cancelled/Expired) and the executor has nothing to
+     * do.
      */
     std::optional<Job> acquire(unsigned shard = 0);
 
@@ -298,14 +318,15 @@ class Scheduler
 
     /**
      * Terminal transition: the request finished, its Job's result
-     * slot holds the payload. The slot stays with the record until
-     * the consuming waitInto() or, for abandoned/discarded tickets,
-     * until retirement reclaims the record.
+     * slot holds the payload. The workspace returns to its shard; the
+     * slot stays with the record until the consuming waitInto() or,
+     * for abandoned/discarded tickets, until retirement reclaims the
+     * record.
      */
     void complete(std::uint64_t id);
 
     /** Terminal transition: processing threw @p exception. The
-     *  request's result slot returns to its shard. */
+     *  request's result slot and workspace return to its shard. */
     void fail(std::uint64_t id, std::exception_ptr exception);
 
     /**
@@ -379,6 +400,13 @@ class Scheduler
      *  the peak of running requests plus unconsumed Done tickets. */
     std::size_t outcomeSlotsCreated() const;
 
+    /** Workspaces created so far, summed over shards or by
+     *  @p shard alone: stops growing once every concurrent executor
+     *  has one (sequential traffic reports 1), never above the
+     *  shard's thread count. */
+    std::size_t workspacesCreated() const;
+    std::size_t workspacesCreated(unsigned shard) const;
+
     /**
      * Reject new submissions, flag all queued requests for
      * cancellation, and block until no request is Queued or Running
@@ -409,6 +437,10 @@ class Scheduler
          *  reclaimed. Null otherwise. */
         BatchResult *result = nullptr;
 
+        /** Workspace, checked out at acquire and held only while
+         *  Running. Null otherwise. */
+        core::Workspace *workspace = nullptr;
+
         /** Return to a just-constructed state while KEEPING the
          *  capacity of request and error — recycled records make the
          *  next admission allocation-free. */
@@ -428,24 +460,52 @@ class Scheduler
             spilled = false;
             abandoned = false;
             result = nullptr;
+            workspace = nullptr;
         }
     };
 
-    /** Queues, aging credits, in-flight counters, and the result
-     *  slab of one shard. */
+    /** Every object of one kind a shard ever created, and the subset
+     *  currently free. A returned object keeps the capacity of
+     *  whatever buffers it holds, which is what drives warm
+     *  serve-path allocations to zero. */
+    template <typename T>
+    struct Slab
+    {
+        std::vector<std::unique_ptr<T>> all;
+        std::vector<T *> free;
+
+        /** Pop a free object, or grow the slab when none is. */
+        T *
+        checkout()
+        {
+            if (free.empty()) {
+                all.push_back(std::make_unique<T>());
+                return all.back().get();
+            }
+            T *item = free.back();
+            free.pop_back();
+            return item;
+        }
+
+        bool
+        owns(const T *item) const
+        {
+            return std::any_of(
+                all.begin(), all.end(),
+                [item](const auto &mine) { return mine.get() == item; });
+        }
+    };
+
+    /** Queues, aging credits, in-flight counters, and the result and
+     *  workspace slabs of one shard. */
     struct ShardState
     {
         std::array<core::Ring<std::uint64_t>, kNumPriorities> queues;
         std::array<std::uint64_t, kNumPriorities> credit{};
         std::size_t queued = 0;
         std::size_t running = 0;
-
-        /** Every result slot this shard ever created, and the subset
-         *  currently free. A returned slot keeps the capacity of
-         *  whatever buffers it holds, which is what drives warm
-         *  serve-path allocations to zero. */
-        std::vector<std::unique_ptr<BatchResult>> results;
-        std::vector<BatchResult *> free_results;
+        Slab<BatchResult> results;
+        Slab<core::Workspace> workspaces;
     };
 
     /** Instruments of one (shard, class) cell; null without a
@@ -474,12 +534,16 @@ class Scheduler
         core::metrics::Counter *borrow_in = nullptr;
         core::metrics::Counter *outcome_checkout = nullptr;
         core::metrics::Gauge *outcome_created = nullptr;
+        core::metrics::Counter *workspace_checkout = nullptr;
+        core::metrics::Gauge *workspace_created = nullptr;
+        core::metrics::Counter *workspace_foreign_return = nullptr;
     };
 
     /** Retire a non-terminal record as Cancelled/Expired/Done/Failed
-     *  (mutex held). Drops the cloud reference, returns the result
-     *  slot unless Done, wakes waiters, and erases the record if it
-     *  was abandoned — callers must not touch @p record afterwards. */
+     *  (mutex held). Drops the cloud reference, returns the workspace,
+     *  returns the result slot unless Done, wakes waiters, and erases
+     *  the record if it was abandoned — callers must not touch
+     *  @p record afterwards. */
     void retireLocked(std::uint64_t id, Record &record,
                       RequestState state);
 
@@ -510,13 +574,20 @@ class Scheduler
      *  warm steady state never touches the map's allocator. */
     void reclaimRecordLocked(std::uint64_t id);
 
-    /** Pop a free result slot of @p shard, or grow its slab (mutex
-     *  held). */
-    BatchResult *checkoutResultLocked(unsigned shard);
+    /** Check a result slot and a reset workspace out of
+     *  @p record's shard for it, growing the slabs on first-seen
+     *  concurrency (mutex held). */
+    void checkoutLocked(Record &record);
 
     /** Return @p record's result slot, if any, to its shard's free
      *  list (mutex held). */
     void releaseResultLocked(Record &record);
+
+    /** Return @p record's workspace, if any, to its shard's free
+     *  list, counting one its shard does not own (mutex held). */
+    void releaseWorkspaceLocked(Record &record);
+
+    std::size_t workspacesCreatedLocked() const;
 
     const Record &recordFor(Ticket ticket) const;
 
@@ -535,6 +606,11 @@ class Scheduler
 
     /** One instrument block per shard; empty without a registry. */
     std::vector<ShardMetrics> metrics_;
+
+    /** Workspace checkouts and creations summed over shards (null
+     *  without a registry). */
+    core::metrics::Counter *workspace_checkouts_ = nullptr;
+    core::metrics::Gauge *workspaces_created_ = nullptr;
 
     /** Active cross-shard borrowers per shard (requests currently
      *  spilling their chunks onto it from another shard); spreads

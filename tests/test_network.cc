@@ -144,8 +144,9 @@ TEST(MakeBlockSample, GroupsByLeaf)
         partitioner->partition(scene, config);
 
     const std::vector<PointIdx> picks{0, 100, 200, 300, 400, 500};
-    const ops::BlockSampleResult bs =
-        makeBlockSample(part.tree, picks);
+    core::Workspace ws;
+    ops::BlockSampleResult bs;
+    makeBlockSample(part.tree, picks, ws, bs);
     ASSERT_EQ(bs.indices.size(), picks.size());
     ASSERT_EQ(bs.leaf_offsets.size(), part.tree.leaves().size() + 1);
     // Every sample lies inside its leaf's range.

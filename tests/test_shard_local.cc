@@ -6,9 +6,9 @@
  *    deterministic wrap) and the FC_NO_PIN escape hatch,
  *  - served results bit-identical pinned vs unpinned across shard
  *    and thread counts,
- *  - per-shard workspace pools: creation counts stay flat per shard
- *    under pinned mixed-class load, and the foreign-return tripwire
- *    stays at zero,
+ *  - the scheduler's per-shard workspaces: creation counts stay flat
+ *    per shard under pinned mixed-class load, and the foreign-return
+ *    tripwire stays at zero,
  *  - the scheduler's per-shard result slots: fresh and reused
  *    (dirty) outcomes match serve::runBatch byte for byte, reused
  *    slots never alias a live result, requests that stop early hand
@@ -194,7 +194,7 @@ TEST(ShardedLocality, ServedResultsIdenticalAcrossPinningShardsThreads)
 }
 
 // ---------------------------------------------------------------------
-// Per-shard workspace pools
+// Per-shard workspaces
 // ---------------------------------------------------------------------
 
 TEST(ShardedLocality, WorkspacesStayFlatPerShardUnderMixedClassLoad)
@@ -405,7 +405,9 @@ TEST(AsyncPipelineOutcome, RequestsStoppedMidRunReturnTheirSlot)
     // request that stops early must hand its slot back when it
     // retires: one slot serves the whole run, no stopped outcome
     // carries a payload, and the half-written slot never shows in the
-    // next Done result.
+    // next Done result. Every retirement, Done included, hands the
+    // workspace back before the waiter wakes, so one workspace serves
+    // the whole run too.
     const data::PointCloud scene = data::makeS3disScene(1024, 59);
     BatchRequest request;
     request.sample_rate = 0.25;
@@ -479,6 +481,18 @@ TEST(AsyncPipelineOutcome, RequestsStoppedMidRunReturnTheirSlot)
               std::string::npos);
     EXPECT_NE(stats.find("serve.outcome.created{shard=0}"),
               std::string::npos);
+
+    // The same for workspaces: cancelled, Done and failed requests
+    // all checked one out, and each found the previous one back.
+    EXPECT_EQ(server.workspacesCreated(), 1u);
+    EXPECT_EQ(server.metrics()
+                  .counter("serve.workspace.checkout{shard=0}")
+                  .value(),
+              10u);
+    EXPECT_EQ(server.metrics()
+                  .gauge("serve.workspace.created{shard=0}")
+                  .value(),
+              1);
 }
 
 TEST(AsyncPipelineOutcome, PointOpsRequestDropsAStaleInferencePayload)

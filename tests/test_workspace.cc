@@ -580,25 +580,4 @@ TEST(WorkspaceOverloads, OpsIntoVariantsMatchValueVariants)
     EXPECT_EQ(ws_graph.edges, value_graph.edges);
 }
 
-TEST(WorkspaceOverloads, MakeBlockSampleIntoMatchesValue)
-{
-    const data::PointCloud scene = data::makeS3disScene(1024, 41);
-    const auto partitioner = part::makePartitioner(part::Method::Fractal);
-    part::PartitionConfig config;
-    config.threshold = 64;
-    const part::PartitionResult part =
-        partitioner->partition(scene, config);
-    const ops::SampleResult sampled =
-        ops::farthestPointSample(scene, 200);
-
-    const ops::BlockSampleResult value =
-        nn::makeBlockSample(part.tree, sampled.indices);
-    core::Workspace ws;
-    ops::BlockSampleResult into;
-    nn::makeBlockSample(part.tree, sampled.indices, ws, into);
-    EXPECT_EQ(into.indices, value.indices);
-    EXPECT_EQ(into.positions, value.positions);
-    EXPECT_EQ(into.leaf_offsets, value.leaf_offsets);
-}
-
 } // namespace
