@@ -272,9 +272,9 @@ class ThreadPool
      *     pool hosts detached work with no external joining thread,
      *     so it spawns exactly num_threads workers.
      * @param pin_cpus    optional cpu ids to pin spawned workers to
-     *     (worker t -> pin_cpus[t % size]); empty = no pinning. The
-     *     ShardedExecutor passes each shard a disjoint set so shard
-     *     arenas stay in one socket's pages.
+     *     (worker t -> pin_cpus[t % size]); empty = no pinning.
+     *     serve::AsyncPipeline passes each shard's pool a disjoint
+     *     set so shard arenas stay in one socket's pages.
      */
     explicit ThreadPool(unsigned num_threads = 0,
                         bool standalone = false,

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "core/topology.h"
 #include "core/workspace.h"
 #include "ops/fps.h"
 #include "ops/gather.h"
@@ -15,13 +16,36 @@ namespace fc::serve {
 
 AsyncPipeline::AsyncPipeline(const ServeOptions &options)
     : options_(options),
-      executor_(std::max(1u, options.num_shards),
-                options.pipeline.num_threads, /*standalone=*/true,
-                options.pin_shards),
-      scheduler_(options.queue_capacity, executor_.threadsPerShard(),
-                 executor_.numShards(), &registry_)
+      scheduler_(options.queue_capacity,
+                 core::ThreadPool::resolveThreadCount(
+                     options.pipeline.num_threads),
+                 std::max(1u, options.num_shards), &registry_)
 {
-    executor_.attachMetrics(registry_);
+    const unsigned num_shards = scheduler_.numShards();
+    const unsigned threads =
+        core::ThreadPool::resolveThreadCount(options.pipeline.num_threads);
+
+    // NUMA-aware pinning: carve the detected topology into disjoint
+    // per-shard cpu sets (shard s prefers node s % nodes) so each
+    // shard's workers — and therefore its workspace pages — stay on
+    // one socket. FC_NO_PIN=1 is the runtime escape hatch for hosts
+    // where affinity is refused or harmful.
+    std::vector<std::vector<int>> cpu_sets;
+    pinned_ = options.pin_shards && !core::pinningDisabled();
+    if (pinned_) {
+        const core::CpuTopology topology = core::detectCpuTopology();
+        if (topology.cpuCount() == 0)
+            pinned_ = false;
+        else
+            cpu_sets =
+                core::shardCpuAssignment(topology, num_shards, threads);
+    }
+    shards_.reserve(num_shards);
+    for (unsigned s = 0; s < num_shards; ++s)
+        shards_.push_back(std::make_unique<core::ThreadPool>(
+            threads, /*standalone=*/true,
+            pinned_ ? std::move(cpu_sets[s]) : std::vector<int>{}));
+
     static constexpr const char *kStageLabels[5] = {
         "partition", "sample", "group", "gather", "inference"};
     for (std::size_t i = 0; i < stage_us_.size(); ++i)
@@ -55,7 +79,7 @@ AsyncPipeline::trySubmit(data::PointCloud cloud,
     // re-submits of the same cloud reduce to one clean flag check.
     (void)shared->soa();
 
-    // One executor task per request, on the shard the scheduler
+    // One pool task per request, on the shard the scheduler
     // placed it on (returned by the admission call itself — no
     // second lock to read it back).
     unsigned shard = 0;
@@ -63,8 +87,7 @@ AsyncPipeline::trySubmit(data::PointCloud cloud,
         scheduler_.trySubmit(std::move(shared), request, deadline,
                              priority, placement_key, &shard);
     if (ticket)
-        executor_.submitDetached(shard,
-                                 [this, shard] { execute(shard); });
+        shards_[shard]->submitDetached([this, shard] { execute(shard); });
     else
         rejected_->add();
     return ticket;
@@ -84,7 +107,7 @@ AsyncPipeline::submitShared(std::shared_ptr<const data::PointCloud> cloud,
                                   priority, placement_key, &shard);
     fc_assert(ticket.has_value(),
               "submit on a shutting-down AsyncPipeline");
-    executor_.submitDetached(shard, [this, shard] { execute(shard); });
+    shards_[shard]->submitDetached([this, shard] { execute(shard); });
     return *ticket;
 }
 
@@ -129,7 +152,7 @@ AsyncPipeline::execute(unsigned shard)
         if (spill_shard < 0)
             return nullptr;
         core::ThreadPool &target =
-            executor_.shard(static_cast<unsigned>(spill_shard));
+            *shards_[static_cast<unsigned>(spill_shard)];
         return target.numThreads() > 1 ? &target : nullptr;
     };
     const std::uint64_t id = job->id;

@@ -8,9 +8,9 @@
  *   - submit()/trySubmit() admit one cloud each into a bounded,
  *     priority-classed admission queue and return a Ticket
  *     immediately; trySubmit rejects (nullopt) when the queue is
- *     full. Each request lands on one executor shard by consistent
- *     hashing (ticket id, or a caller placement key for session
- *     affinity) and in one of three priority classes (Interactive /
+ *     full. Each request lands on one shard by consistent hashing
+ *     (ticket id, or a caller placement key for session affinity)
+ *     and in one of three priority classes (Interactive /
  *     Batch / Background) that share each shard 8:4:1 under weighted
  *     aging — bulk traffic cannot starve, interactive traffic keeps
  *     its tail,
@@ -64,11 +64,11 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "core/metrics.h"
 #include "core/parallel.h"
 #include "core/pipeline.h"
-#include "core/sharded_executor.h"
 #include "serve/scheduler.h"
 
 namespace fc::serve {
@@ -85,15 +85,15 @@ enum class Stage : std::uint8_t {
 struct ServeOptions
 {
     /** Partition method/threshold plus num_threads, which sizes each
-     *  executor shard's pool (0 = hardware). Unlike the blocking
-     *  pipeline, num_threads = 1 still spawns one background worker
-     *  per shard — requests are processed asynchronously but, within
-     *  a shard and a priority class, strictly FIFO, with results
-     *  identical to the sequential path. */
+     *  shard's pool (0 = hardware). Unlike the blocking pipeline,
+     *  num_threads = 1 still spawns one background worker per shard
+     *  — requests are processed asynchronously but, within a shard
+     *  and a priority class, strictly FIFO, with results identical
+     *  to the sequential path. */
     PipelineOptions pipeline;
 
     /**
-     * Executor shards. 1 (the default) is the single-pool runtime of
+     * Shards. 1 (the default) is the single-pool runtime of
      * PR 2-4, unchanged. With N > 1, requests are placed onto shards
      * by consistent hashing (ticket id, or the submit call's
      * placement key for session affinity); each shard has its own
@@ -129,10 +129,13 @@ struct ServeOptions
 };
 
 /**
- * Asynchronous submit/poll/wait serving frontend over a
- * core::ShardedExecutor of standalone ThreadPool shards
- * (ServeOptions::num_shards = 1 collapses to the single-pool
- * frontend of PR 2-4, unchanged).
+ * Asynchronous submit/poll/wait serving frontend over
+ * ServeOptions::num_shards standalone ThreadPool shards, one per
+ * shard the Scheduler places requests on (num_shards = 1 is the
+ * single-pool frontend). Shards are fully independent — separate
+ * queues, workers and condition variables, no stealing at the pool
+ * level; the Scheduler's spill policy decides which shard's idle
+ * threads a stage may borrow.
  *
  * Thread-safe: any thread may submit, poll, cancel, or wait. The
  * destructor rejects new work, cancels everything still queued, and
@@ -238,14 +241,19 @@ class AsyncPipeline
     void discard(Ticket ticket) { scheduler_.discard(ticket); }
 
     /** Resolved per-shard pool size. */
-    unsigned numThreads() const { return executor_.threadsPerShard(); }
+    unsigned numThreads() const { return shards_.front()->numThreads(); }
 
-    /** Executor shard count. */
-    unsigned numShards() const { return executor_.numShards(); }
+    /** Shard count. */
+    unsigned numShards() const
+    {
+        return static_cast<unsigned>(shards_.size());
+    }
 
-    /** Whether shard workers are actually pinned (pin_shards was set,
-     *  FC_NO_PIN is unset, and a topology was detected). */
-    bool pinned() const { return executor_.pinned(); }
+    /** Whether shard workers are pinned (pin_shards was set, FC_NO_PIN
+     *  is unset, and a topology was detected). Individual affinity
+     *  calls remain best-effort; this reports the policy, not
+     *  per-thread success. */
+    bool pinned() const { return pinned_; }
 
     /** Snapshot of requests admitted but not yet started (all
      *  shards). Allocation-free; racy by nature — use for telemetry,
@@ -293,9 +301,8 @@ class AsyncPipeline
      * The pipeline's metrics registry: per-(shard x class) queue
      * depth / wait / latency, result-slot and workspace instruments
      * (Scheduler), per-stage latency histograms and admission
-     * rejections (this class), per-shard executor task counts
-     * (ShardedExecutor), and the inference stage's per-stage nn
-     * timings. Render it with
+     * rejections (this class), and the inference stage's per-stage
+     * nn timings. Render it with
      * serve::renderStats / renderStatsJson (serve/stats.h); mutation
      * cost is governed by core::metrics::setSampling.
      */
@@ -318,10 +325,10 @@ class AsyncPipeline
     ServeOptions options_;
 
     /**
-     * Declared first deliberately: every layer below (executor,
-     * scheduler, this class's own instruments) holds pointers into
-     * the registry until its workers join, so the registry must be
-     * destroyed last.
+     * Declared first deliberately: every layer below (shard pool
+     * workers, scheduler, this class's own instruments) holds
+     * pointers into the registry until its workers join, so the
+     * registry must be destroyed last.
      */
     core::metrics::Registry registry_;
 
@@ -332,7 +339,12 @@ class AsyncPipeline
     /** Admission rejections (trySubmit returning nullopt). */
     core::metrics::Counter *rejected_ = nullptr;
 
-    core::ShardedExecutor executor_;
+    /** One standalone pool per Scheduler shard, same index. Declared
+     *  before scheduler_, so destroyed after it; the destructor's
+     *  shutdown() has emptied their queues by then. */
+    std::vector<std::unique_ptr<core::ThreadPool>> shards_;
+    bool pinned_ = false;
+
     Scheduler scheduler_;
 };
 

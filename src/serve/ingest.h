@@ -8,10 +8,9 @@
  * compute) and into AsyncPipeline::submit (moved in — the mapping
  * keepalive rides inside each zero-copy cloud), each submitted under
  * the placement key stored in the file's index.
- * The pipeline hashes that key through the same consistent-hash
- * ShardMap the prefetcher exposes, so a block lands on the shard
- * that owns its key — prefetch, placement, and processing agree on
- * WHERE without agreeing on WHEN.
+ * The pipeline's Scheduler hashes that key through its
+ * consistent-hash core::ShardMap, so a block lands on the shard that
+ * owns its key no matter when the read-ahead ring delivers it.
  *
  * Results are byte-identical to submitting preloaded in-memory
  * clouds: the zero-copy cloud aliases the same bytes the writer

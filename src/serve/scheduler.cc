@@ -104,8 +104,6 @@ Scheduler::Scheduler(std::size_t queue_capacity, unsigned num_threads,
     // Register the full instrument matrix up front: every later
     // mutation is a pointer dereference, no name lookups (and no
     // allocations) on the serving path.
-    workspace_checkouts_ = &registry->counter("serve.workspace_checkouts");
-    workspaces_created_ = &registry->gauge("serve.workspaces_created");
     metrics_.resize(num_shards);
     for (unsigned s = 0; s < num_shards; ++s) {
         ShardMetrics &sm = metrics_[s];
@@ -135,12 +133,8 @@ Scheduler::Scheduler(std::size_t queue_capacity, unsigned num_threads,
             &registry->counter(shardName("outcome.checkout", s));
         sm.outcome_created =
             &registry->gauge(shardName("outcome.created", s));
-        sm.workspace_checkout =
-            &registry->counter(shardName("workspace.checkout", s));
         sm.workspace_created =
             &registry->gauge(shardName("workspace.created", s));
-        sm.workspace_foreign_return =
-            &registry->counter(shardName("workspace.foreign_return", s));
     }
 }
 
@@ -575,18 +569,15 @@ Scheduler::checkoutLocked(Record &record)
     if (metrics_.empty())
         return;
     ShardMetrics &sm = metrics_[record.shard];
+    // Result slot and workspace check out together, so this one
+    // counter counts both.
     sm.outcome_checkout->add();
-    sm.workspace_checkout->add();
-    workspace_checkouts_->add();
     if (st.results.all.size() != results)
         sm.outcome_created->set(
             static_cast<std::int64_t>(st.results.all.size()));
-    if (st.workspaces.all.size() != workspaces) {
+    if (st.workspaces.all.size() != workspaces)
         sm.workspace_created->set(
             static_cast<std::int64_t>(st.workspaces.all.size()));
-        workspaces_created_->set(
-            static_cast<std::int64_t>(workspacesCreatedLocked()));
-    }
 }
 
 void
@@ -603,12 +594,7 @@ Scheduler::releaseWorkspaceLocked(Record &record)
 {
     if (record.workspace == nullptr)
         return;
-    Slab<core::Workspace> &slab = shards_[record.shard].workspaces;
-    // Owner check, a tripwire that should stay 0: acquire took the
-    // workspace out of this same slab.
-    if (!slab.owns(record.workspace) && !metrics_.empty())
-        metrics_[record.shard].workspace_foreign_return->add();
-    slab.free.push_back(record.workspace);
+    shards_[record.shard].workspaces.free.push_back(record.workspace);
     record.workspace = nullptr;
 }
 
@@ -668,19 +654,13 @@ Scheduler::outcomeSlotsCreated() const
 }
 
 std::size_t
-Scheduler::workspacesCreatedLocked() const
+Scheduler::workspacesCreated() const
 {
+    std::lock_guard<std::mutex> lock(mutex_);
     std::size_t total = 0;
     for (const ShardState &st : shards_)
         total += st.workspaces.all.size();
     return total;
-}
-
-std::size_t
-Scheduler::workspacesCreated() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return workspacesCreatedLocked();
 }
 
 std::size_t

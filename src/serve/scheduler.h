@@ -5,9 +5,9 @@
  * work-conserving (cross-shard) spill policy.
  *
  * The Scheduler owns no threads — it is the pure bookkeeping core of
- * fc::serve::AsyncPipeline, which pairs it with a
- * core::ShardedExecutor. Executors interact with it through a narrow
- * protocol:
+ * fc::serve::AsyncPipeline, which pairs it with one ThreadPool per
+ * shard. Executors (the pool tasks that run requests) interact with
+ * it through a narrow protocol:
  *
  *   trySubmit/submitBlocking  admit one request: consistent-hash
  *                             placement picks its shard, its priority
@@ -83,7 +83,6 @@
 #ifndef FC_SERVE_SCHEDULER_H
 #define FC_SERVE_SCHEDULER_H
 
-#include <algorithm>
 #include <array>
 #include <chrono>
 #include <condition_variable>
@@ -99,7 +98,7 @@
 #include "core/metrics.h"
 #include "core/parallel.h"
 #include "core/pipeline.h"
-#include "core/sharded_executor.h"
+#include "core/shard_map.h"
 #include "core/workspace.h"
 #include "dataset/point_cloud.h"
 
@@ -238,7 +237,7 @@ class Scheduler
      *                        summed over all shards and classes
      * @param num_threads     per-shard pool size the spill policy
      *                        compares with
-     * @param num_shards      executor shards (placement targets)
+     * @param num_shards      shards (placement targets)
      * @param registry        when non-null, the scheduler registers
      *                        and maintains its serving telemetry
      *                        (per-(shard x class) queue depth, wait
@@ -486,14 +485,6 @@ class Scheduler
             free.pop_back();
             return item;
         }
-
-        bool
-        owns(const T *item) const
-        {
-            return std::any_of(
-                all.begin(), all.end(),
-                [item](const auto &mine) { return mine.get() == item; });
-        }
     };
 
     /** Queues, aging credits, in-flight counters, and the result and
@@ -534,9 +525,7 @@ class Scheduler
         core::metrics::Counter *borrow_in = nullptr;
         core::metrics::Counter *outcome_checkout = nullptr;
         core::metrics::Gauge *outcome_created = nullptr;
-        core::metrics::Counter *workspace_checkout = nullptr;
         core::metrics::Gauge *workspace_created = nullptr;
-        core::metrics::Counter *workspace_foreign_return = nullptr;
     };
 
     /** Retire a non-terminal record as Cancelled/Expired/Done/Failed
@@ -584,10 +573,8 @@ class Scheduler
     void releaseResultLocked(Record &record);
 
     /** Return @p record's workspace, if any, to its shard's free
-     *  list, counting one its shard does not own (mutex held). */
+     *  list (mutex held). */
     void releaseWorkspaceLocked(Record &record);
-
-    std::size_t workspacesCreatedLocked() const;
 
     const Record &recordFor(Ticket ticket) const;
 
@@ -606,11 +593,6 @@ class Scheduler
 
     /** One instrument block per shard; empty without a registry. */
     std::vector<ShardMetrics> metrics_;
-
-    /** Workspace checkouts and creations summed over shards (null
-     *  without a registry). */
-    core::metrics::Counter *workspace_checkouts_ = nullptr;
-    core::metrics::Gauge *workspaces_created_ = nullptr;
 
     /** Active cross-shard borrowers per shard (requests currently
      *  spilling their chunks onto it from another shard); spreads

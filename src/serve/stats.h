@@ -10,15 +10,16 @@
  *     `#`-prefixed header line identifying the runtime shape:
  *
  *       # fractalcloud serve/stats shards=N threads_per_shard=N sampling=on
- *       core.executor.tasks{shard=0} counter 42
+ *       serve.outcome.checkout{shard=0} counter 42
  *       ...
  *       serve.queue_depth{shard=0,class=interactive} gauge 0
  *       ...
  *       serve.wait_us{shard=0,class=interactive} histogram count=42 sum=...
  *
  *     The format is a compatibility surface: scrapers and the CI
- *     perf-trajectory tooling parse it, so lines are append-only —
- *     new instruments may appear, existing ones keep their shape.
+ *     perf-trajectory tooling parse it, so lines keep their shape:
+ *     new instruments may appear, and an instrument that goes is
+ *     dropped whole (docs/SERVING.md lists the current set).
  *
  *   - renderStatsJson: the same registry as a machine-readable JSON
  *     object: {"shards":N,"threads_per_shard":N,"sampling":bool,

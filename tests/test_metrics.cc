@@ -520,17 +520,24 @@ TEST(ServeStats, MixedPriorityRunRendersAccurateCounters)
         }
         EXPECT_GT(spills, 0);
 
-        // The executor counted one task per admitted request.
-        EXPECT_EQ(statValue(stats, "core.executor.tasks{shard=0}") +
-                      statValue(stats, "core.executor.tasks{shard=1}"),
+        // Every admitted request was counted on its shard and class.
+        EXPECT_EQ(sumOverShards(stats, "submitted", 2, "interactive") +
+                      sumOverShards(stats, "submitted", 2, "batch") +
+                      sumOverShards(stats, "submitted", 2, "background"),
                   3 * kPerClass);
 
-        // Workspace telemetry: every executed request checked one out.
-        EXPECT_GE(statValue(stats, "serve.workspace_checkouts"),
-                  static_cast<std::int64_t>(done));
-        EXPECT_EQ(statValue(stats, "serve.workspaces_created"),
-                  static_cast<std::int64_t>(
-                      pipeline.workspacesCreated()));
+        // Slot and workspace telemetry: every executed request checked
+        // one of each out, and the per-shard slab sizes add up to the
+        // pipeline's workspace count.
+        std::int64_t checkouts = 0, created = 0;
+        for (unsigned s = 0; s < 2; ++s) {
+            const std::string shard = "{shard=" + std::to_string(s) + "}";
+            checkouts += statValue(stats, "serve.outcome.checkout" + shard);
+            created += statValue(stats, "serve.workspace.created" + shard);
+        }
+        EXPECT_GE(checkouts, static_cast<std::int64_t>(done));
+        EXPECT_EQ(created, static_cast<std::int64_t>(
+                               pipeline.workspacesCreated()));
 
         // JSON variant carries the same shape fields.
         const std::string json = serve::renderStatsJson(pipeline);

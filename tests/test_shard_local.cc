@@ -7,8 +7,7 @@
  *  - served results bit-identical pinned vs unpinned across shard
  *    and thread counts,
  *  - the scheduler's per-shard workspaces: creation counts stay flat
- *    per shard under pinned mixed-class load, and the foreign-return
- *    tripwire stays at zero,
+ *    per shard under pinned mixed-class load,
  *  - the scheduler's per-shard result slots: fresh and reused
  *    (dirty) outcomes match serve::runBatch byte for byte, reused
  *    slots never alias a live result, requests that stop early hand
@@ -33,7 +32,6 @@
 #include <gtest/gtest.h>
 
 #include "core/pipeline.h"
-#include "core/sharded_executor.h"
 #include "core/topology.h"
 #include "dataset/s3dis.h"
 #include "nn/models.h"
@@ -114,26 +112,24 @@ TEST(ShardedLocality, OversubscribedAssignmentWrapsDeterministically)
 
 TEST(ShardedLocality, FcNoPinDisablesPinningAtRuntime)
 {
+    const auto pinned = [](bool pin_shards) {
+        serve::ServeOptions options;
+        options.pipeline.num_threads = 1;
+        options.num_shards = 2;
+        options.pin_shards = pin_shards;
+        return serve::AsyncPipeline(options).pinned();
+    };
     ASSERT_EQ(::setenv("FC_NO_PIN", "1", 1), 0);
     EXPECT_TRUE(core::pinningDisabled());
-    {
-        core::ShardedExecutor executor(2, 1, /*standalone=*/true,
-                                       /*pin_workers=*/true);
-        EXPECT_FALSE(executor.pinned());
-    }
+    EXPECT_FALSE(pinned(true));
+    EXPECT_FALSE(pinned(false));
     // "0" means enabled — the knob is a boolean, not mere presence.
     ASSERT_EQ(::setenv("FC_NO_PIN", "0", 1), 0);
     EXPECT_FALSE(core::pinningDisabled());
     ASSERT_EQ(::unsetenv("FC_NO_PIN"), 0);
     EXPECT_FALSE(core::pinningDisabled());
-    {
-        core::ShardedExecutor executor(2, 1, /*standalone=*/true,
-                                       /*pin_workers=*/true);
-        EXPECT_TRUE(executor.pinned());
-    }
-    core::ShardedExecutor unpinned(2, 1, /*standalone=*/true,
-                                   /*pin_workers=*/false);
-    EXPECT_FALSE(unpinned.pinned());
+    EXPECT_TRUE(pinned(true));
+    EXPECT_FALSE(pinned(false));
 }
 
 // ---------------------------------------------------------------------
@@ -236,11 +232,6 @@ TEST(ShardedLocality, WorkspacesStayFlatPerShardUnderMixedClassLoad)
         // another workspace, proving checkouts stay on their shard.
         EXPECT_EQ(server.workspacesCreated(s), created[s]);
         EXPECT_LE(server.workspacesCreated(s), server.numThreads());
-        EXPECT_EQ(server.metrics()
-                      .counter("serve.workspace.foreign_return{shard=" +
-                               std::to_string(s) + "}")
-                      .value(),
-                  0u);
     }
 }
 
@@ -482,13 +473,10 @@ TEST(AsyncPipelineOutcome, RequestsStoppedMidRunReturnTheirSlot)
     EXPECT_NE(stats.find("serve.outcome.created{shard=0}"),
               std::string::npos);
 
-    // The same for workspaces: cancelled, Done and failed requests
-    // all checked one out, and each found the previous one back.
+    // The same for workspaces, which check out with the slot (the
+    // checkout counter above counts both): cancelled, Done and failed
+    // requests each found the previous one back.
     EXPECT_EQ(server.workspacesCreated(), 1u);
-    EXPECT_EQ(server.metrics()
-                  .counter("serve.workspace.checkout{shard=0}")
-                  .value(),
-              10u);
     EXPECT_EQ(server.metrics()
                   .gauge("serve.workspace.created{shard=0}")
                   .value(),
