@@ -663,7 +663,7 @@ makeCrescent()
     p.partition_threshold = 256;
     p.delayed_aggregation = true;
     // Crescent searches locally within KD blocks but executes blocks
-    // serially, and its sampling engine (borrowed from PointAcc, per
+    // serially, and its sampling engine (taken from PointAcc, per
     // the paper's methodology) remains a global FPS.
     p.block_parallel = false;
     p.block_sampling = false;

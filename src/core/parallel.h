@@ -287,9 +287,6 @@ class ThreadPool
     /** Resolved thread count (>= 1). */
     unsigned numThreads() const { return num_threads_; }
 
-    /** Cpu ids workers were asked to pin to (empty = unpinned). */
-    const std::vector<int> &pinnedCpus() const { return pin_cpus_; }
-
     /**
      * Enqueue a fire-and-forget task at the tail of the detached
      * lane. Unlike TaskGroup::run there is no join: the caller must

@@ -6,11 +6,23 @@
 
 namespace fc::core {
 
+namespace {
+
+/** XORed into every key before mix(): ring points hash the inputs
+ *  (shard << 32) | replica, and a salt whose high half is no shard
+ *  index keeps keys of any realistic size off those inputs. */
+constexpr std::uint64_t kKeySalt = 0xd6e8feb86659fd93ull;
+
+} // namespace
+
 std::uint64_t
 ShardMap::mix(std::uint64_t x)
 {
-    // splitmix64 finalizer: cheap, well-distributed, and fixed for
-    // all time — placement must never drift between builds.
+    // splitmix64 finalizer: cheap and well-distributed. Placement
+    // must not drift between builds: ring points and key hashes are
+    // fixed. They moved once, when keys got their own hash domain
+    // (see shardFor), and the .fcpc writer's derived placement keys
+    // never changed.
     x += 0x9e3779b97f4a7c15ull;
     x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
     x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
@@ -45,7 +57,11 @@ ShardMap::shardFor(std::uint64_t key) const
 {
     if (num_shards_ == 1)
         return 0;
-    const std::uint64_t h = mix(key);
+    // Keys hash in their own domain: unsalted, mix(k) for
+    // k < kReplicas would BE shard 0's ring point mix((0 << 32) | k),
+    // putting every small key (the first ticket ids, small session
+    // keys) on shard 0 at any shard count.
+    const std::uint64_t h = mix(key ^ kKeySalt);
     const auto it = std::lower_bound(
         ring_.begin(), ring_.end(), h,
         [](const Point &p, std::uint64_t value) {

@@ -51,11 +51,13 @@ class ShardMap
     unsigned numShards() const { return num_shards_; }
 
     /** Shard owning @p key: binary search for the first ring point at
-     *  or after hash(key), wrapping to the first point. */
+     *  or after hash(key), wrapping to the first point. Keys hash as
+     *  mix(key ^ salt), a domain disjoint from the ring points'. */
     unsigned shardFor(std::uint64_t key) const;
 
-    /** The 64-bit mix (splitmix64) both ring points and keys go
-     *  through; exposed so tests can reason about the ring. */
+    /** The 64-bit mix (splitmix64) ring points and (salted) keys go
+     *  through; the .fcpc writer derives default placement keys with
+     *  it. */
     static std::uint64_t mix(std::uint64_t x);
 
   private:

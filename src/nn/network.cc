@@ -300,16 +300,7 @@ Network::run(const data::PointCloud &cloud,
                     .partitionInto(cur.cloud, pconfig, pool, ws,
                                    partitions[si]);
             }
-            out.partition_stats.elements_traversed +=
-                partitions[si].stats.elements_traversed;
-            out.partition_stats.num_sorts +=
-                partitions[si].stats.num_sorts;
-            out.partition_stats.sort_compares +=
-                partitions[si].stats.sort_compares;
-            out.partition_stats.traversal_passes +=
-                partitions[si].stats.traversal_passes;
-            out.partition_stats.num_splits +=
-                partitions[si].stats.num_splits;
+            out.partition_stats += partitions[si].stats;
         }
         lapInto(kStPartition);
 

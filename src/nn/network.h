@@ -121,7 +121,7 @@ struct BackendOptions
      * gathering / interpolation, per-row MLP application, and
      * per-group max pooling. Null (or a single-thread pool) is the
      * exact sequential path; any thread count produces a
-     * bit-identical InferenceResult. The pool is borrowed, never
+     * bit-identical InferenceResult. The pool is the caller's, never
      * owned — FractalCloudPipeline::infer passes its own pool, and
      * standalone users keep theirs alive across run() calls.
      */

@@ -135,25 +135,16 @@ AsyncPipeline::execute(unsigned shard)
     if (!job)
         return; // the popped request was retired (cancelled/expired)
 
-    // Spill: hand a shard's pool to a stage so the request's
-    // per-block work items fill idle slots — its own shard's when
-    // whole requests can't saturate it, a fully idle neighbor's when
-    // its own is busy; otherwise the stage runs inline on this
+    // Spill: hand this shard's pool to a stage so the request's
+    // per-block work items fill idle slots when whole requests can't
+    // saturate the shard; otherwise the stage runs inline on this
     // worker (one cloud per thread). The decision is re-evaluated at
-    // every checkpoint (all chunks have joined there): a request
-    // acquired at saturation starts spilling once capacity frees
-    // anywhere, and a borrowed neighbor is released one stage after
-    // it receives its own work. Identical results either way; only
-    // the schedule differs. (A one-thread spill target degenerates
-    // to inline: its TaskGroup would run chunks on this waiter
-    // anyway.)
-    int spill_shard = job->spill_shard;
+    // every checkpoint (all chunks have joined there), so a request
+    // acquired at saturation starts spilling once its shard drains.
+    // Identical results either way; only the schedule differs.
+    bool spill = job->spill;
     const auto pool = [&]() -> core::ThreadPool * {
-        if (spill_shard < 0)
-            return nullptr;
-        core::ThreadPool &target =
-            *shards_[static_cast<unsigned>(spill_shard)];
-        return target.numThreads() > 1 ? &target : nullptr;
+        return spill ? shards_[shard].get() : nullptr;
     };
     const std::uint64_t id = job->id;
     const data::PointCloud &cloud = *job->cloud;
@@ -189,7 +180,7 @@ AsyncPipeline::execute(unsigned shard)
     core::Workspace &ws = *job->workspace;
     try {
         notifyObserver(id, Stage::Started);
-        if (!scheduler_.checkpoint(id, &spill_shard))
+        if (!scheduler_.checkpoint(id, &spill))
             return;
 
         part::PartitionConfig config;
@@ -202,7 +193,7 @@ AsyncPipeline::execute(unsigned shard)
             .partitionInto(cloud, config, pool(), ws, part);
         lap(0); // partition
         notifyObserver(id, Stage::Partitioned);
-        if (!scheduler_.checkpoint(id, &spill_shard))
+        if (!scheduler_.checkpoint(id, &spill))
             return;
 
         ops::FpsOptions fps;
@@ -212,7 +203,7 @@ AsyncPipeline::execute(unsigned shard)
                                       pool(), ws, out.sampled);
         lap(1); // sample
         notifyObserver(id, Stage::Sampled);
-        if (!scheduler_.checkpoint(id, &spill_shard))
+        if (!scheduler_.checkpoint(id, &spill))
             return;
 
         ops::blockBallQuery(cloud, part.tree, out.sampled,
@@ -221,7 +212,7 @@ AsyncPipeline::execute(unsigned shard)
                             out.grouped);
         lap(2); // group
         notifyObserver(id, Stage::Grouped);
-        if (!scheduler_.checkpoint(id, &spill_shard))
+        if (!scheduler_.checkpoint(id, &spill))
             return;
 
         ops::blockGatherNeighborhoods(
@@ -239,7 +230,7 @@ AsyncPipeline::execute(unsigned shard)
             // workspace. Extra checkpoint first — inference is the
             // most expensive stage, so cancels/deadlines issued
             // during gathering are honored before it starts.
-            if (!scheduler_.checkpoint(id, &spill_shard))
+            if (!scheduler_.checkpoint(id, &spill))
                 return;
             stage_mark = Clock::now(); // exclude checkpoint wait
             nn::BackendOptions backend;

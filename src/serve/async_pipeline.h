@@ -24,23 +24,21 @@
  *     running work at its next stage boundary, and
  *   - the work-conserving Scheduler spills a request's intra-cloud
  *     block items (partition subtrees, block-wise FPS / neighbor /
- *     gather) into idle pool slots — its own shard's when in-flight
- *     requests there number fewer than the shard's threads, else a
- *     drained neighbor shard's; otherwise requests run
- *     one-per-thread. The decision is re-evaluated at every stage
- *     boundary, so the last big request of a batch starts spilling
- *     once its peers finish, and
+ *     gather) into idle slots of its own shard's pool when in-flight
+ *     requests there number fewer than the shard's threads;
+ *     otherwise requests run one-per-thread. The decision is
+ *     re-evaluated at every stage boundary, so the last big request
+ *     of a batch starts spilling once its peers finish, and
  *   - per-shard workspaces and result slots, both owned by the
  *     Scheduler (see serve/scheduler.h) and checked out when a
  *     request starts on its placement shard. Every request's
  *     intermediates (partition trees, op scratch, the inference
  *     stage's per-level buffers) draw from a workspace warmed by
  *     earlier requests OF THE SAME SHARD, so with pinned workers its
- *     pages stay on the NUMA node that touched them; cross-shard
- *     spill borrows a neighbor's COMPUTE only. The workspace returns
- *     at every retirement, so a shard never holds more than its
- *     thread count and steady-state memory is bounded by the largest
- *     shapes seen. The BatchResult payload lives in the result slot
+ *     pages stay on the NUMA node that touched them. The workspace
+ *     returns at every retirement, so a shard never holds more than
+ *     its thread count and steady-state memory is bounded by the
+ *     largest shapes seen. The BatchResult payload lives in the result slot
  *     until the consuming waitInto(), which swaps it with the
  *     caller's: a reused RequestOutcome hands its warm buffers back
  *     to the slot, so a warm same-shape submit -> poll -> waitInto
@@ -97,9 +95,9 @@ struct ServeOptions
      * PR 2-4, unchanged. With N > 1, requests are placed onto shards
      * by consistent hashing (ticket id, or the submit call's
      * placement key for session affinity); each shard has its own
-     * num_threads-sized pool and queues, and the work-conserving
-     * policy may borrow an idle neighbor shard for a busy request's
-     * block items. Results are byte-identical at any shard count.
+     * num_threads-sized pool and queues, and a request's block items
+     * only ever run on its own shard's pool. Results are
+     * byte-identical at any shard count.
      */
     unsigned num_shards = 1;
 
@@ -134,8 +132,8 @@ struct ServeOptions
  * shard the Scheduler places requests on (num_shards = 1 is the
  * single-pool frontend). Shards are fully independent — separate
  * queues, workers and condition variables, no stealing at the pool
- * level; the Scheduler's spill policy decides which shard's idle
- * threads a stage may borrow.
+ * level; the Scheduler's spill policy decides whether a stage fans
+ * out onto its own shard's idle threads.
  *
  * Thread-safe: any thread may submit, poll, cancel, or wait. The
  * destructor rejects new work, cancels everything still queued, and

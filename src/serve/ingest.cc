@@ -1,5 +1,7 @@
 #include "serve/ingest.h"
 
+#include <optional>
+
 #include "common/logging.h"
 
 namespace fc::serve {
@@ -8,18 +10,16 @@ StorageIngestor::StorageIngestor(
     AsyncPipeline &pipeline,
     std::shared_ptr<storage::FcpcReader> reader,
     const IngestOptions &options)
-    : pipeline_(pipeline), reader_(std::move(reader)),
-      options_(options)
+    : pipeline_(pipeline), reader_(std::move(reader))
 {
     fc_assert(reader_ != nullptr && reader_->isOpen(),
               "ingestor needs an open reader");
-    if (options_.prefetch_depth > 0)
-        io_pool_ = std::make_unique<core::ThreadPool>(
-            std::max(1u, options_.io_threads), /*standalone=*/true);
+    if (options.prefetch_depth > 0)
+        io_pool_ =
+            std::make_unique<core::ThreadPool>(1, /*standalone=*/true);
     storage::PrefetchOptions popts;
-    popts.depth = options_.prefetch_depth;
+    popts.depth = options.prefetch_depth;
     popts.pool = io_pool_.get();
-    popts.mode = options_.mode;
     prefetcher_ = std::make_unique<storage::BlockPrefetcher>(reader_,
                                                              popts);
 
@@ -69,8 +69,8 @@ StorageIngestor::runAll(const BatchRequest &request)
         // keepalive rides inside it, so the file may be closed while
         // tickets are still in flight.
         tickets[i] = pipeline_.submit(
-            std::move(cloud), request, options_.deadline,
-            options_.priority, reader_->placementKey(i));
+            std::move(cloud), request, std::nullopt, Priority::Batch,
+            reader_->placementKey(i));
     }
 
     for (std::size_t i = 0; i < blocks; ++i)

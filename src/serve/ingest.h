@@ -31,7 +31,6 @@
 #define FC_SERVE_INGEST_H
 
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "serve/async_pipeline.h"
@@ -39,28 +38,17 @@
 
 namespace fc::serve {
 
-/** Configuration of one ingestion run. */
+/**
+ * Configuration of one ingestion run. Blocks are read zero-copy on a
+ * private one-thread I/O pool (distinct from the pipeline's compute
+ * shards, so a slow disk never steals compute slots) and admitted as
+ * Priority::Batch without a deadline: ingestion is throughput
+ * traffic and must not crowd interactive requests.
+ */
 struct IngestOptions
 {
     /** Read-ahead depth; 0 = synchronous loads (prefetch off). */
     std::size_t prefetch_depth = 4;
-
-    /** Threads of the ingestor's private I/O pool (distinct from the
-     *  pipeline's compute shards so a slow disk never steals compute
-     *  slots). Ignored when prefetch_depth == 0. */
-    unsigned io_threads = 1;
-
-    /** Zero-copy by default; Copy forces owning clouds (e.g. when
-     *  the file must be replaced while requests are in flight). */
-    storage::ReadMode mode = storage::ReadMode::ZeroCopy;
-
-    /** Admission class for ingested blocks. Batch by default:
-     *  ingestion is throughput traffic and must not crowd
-     *  interactive requests. */
-    Priority priority = Priority::Batch;
-
-    /** Optional per-block deadline (relative, as in submit()). */
-    std::optional<Clock::duration> deadline;
 };
 
 /** Outcome of one ingested block. */
@@ -105,7 +93,6 @@ class StorageIngestor
   private:
     AsyncPipeline &pipeline_;
     std::shared_ptr<storage::FcpcReader> reader_;
-    IngestOptions options_;
 
     /** Private I/O pool (standalone: it hosts detached read tasks);
      *  null when prefetch is off. Declared before the prefetcher —

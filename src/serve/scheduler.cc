@@ -92,8 +92,7 @@ Scheduler::Scheduler(std::size_t queue_capacity, unsigned num_threads,
                      unsigned num_shards,
                      core::metrics::Registry *registry)
     : capacity_(queue_capacity), num_threads_(num_threads),
-      shard_map_(num_shards), shards_(num_shards),
-      borrows_(num_shards, 0)
+      shard_map_(num_shards), shards_(num_shards)
 {
     fc_assert(capacity_ > 0, "scheduler needs a positive capacity");
     fc_assert(num_threads_ > 0, "scheduler needs a positive pool size");
@@ -127,8 +126,6 @@ Scheduler::Scheduler(std::size_t queue_capacity, unsigned num_threads,
             cm.failed = &registry->counter(cellName("failed", s, c));
         }
         sm.spill_same = &registry->counter(shardName("spill_same", s));
-        sm.borrow_out = &registry->counter(shardName("borrow_out", s));
-        sm.borrow_in = &registry->counter(shardName("borrow_in", s));
         sm.outcome_checkout =
             &registry->counter(shardName("outcome.checkout", s));
         sm.outcome_created =
@@ -236,7 +233,6 @@ void
 Scheduler::retireLocked(std::uint64_t id, Record &record,
                         RequestState state)
 {
-    assignSpillLocked(record, -1); // release any cross-shard borrow
     record.state = state;
     record.timing.finished = Clock::now();
     if (record.timing.started == Clock::time_point{})
@@ -275,65 +271,20 @@ Scheduler::retireLocked(std::uint64_t id, Record &record,
     cv_.notify_all();
 }
 
-int
-Scheduler::spillShardLocked(unsigned shard) const
-{
-    const auto inflight = [this](unsigned s) {
-        return shards_[s].queued + shards_[s].running;
-    };
-    // Own shard first: with fewer requests in flight than threads,
-    // whole requests cannot saturate it, so this request should fan
-    // its block items out onto the idle slots.
-    if (inflight(shard) < num_threads_)
-        return static_cast<int>(shard);
-    // Cross-shard borrow: only a FULLY idle neighbor. A merely
-    // under-loaded neighbor is never borrowed: its workers prefer
-    // the fork/join lane, so foreign chunks would run ahead of its
-    // own queued requests — a priority inversion against whatever
-    // class waits there. Idle shards have nothing to invert, and
-    // the decision is re-evaluated at every stage boundary, so a
-    // borrow ends one stage after the neighbor receives work of its
-    // own. Among idle shards, take the one with the fewest active
-    // borrowers (lowest index on ties) — request in-flight counters
-    // don't see borrowed chunks, so without this concurrent
-    // borrowers would all pile onto the lowest index.
-    int best = -1;
-    std::size_t best_borrows = 0;
-    for (unsigned t = 0; t < shards_.size(); ++t) {
-        if (t == shard || inflight(t) != 0)
-            continue;
-        if (best < 0 || borrows_[t] < best_borrows) {
-            best = static_cast<int>(t);
-            best_borrows = borrows_[t];
-        }
-    }
-    return best;
-}
-
 void
-Scheduler::assignSpillLocked(Record &record, int target)
+Scheduler::refreshSpillLocked(Record &record)
 {
-    if (record.spill_shard == target)
-        return;
-    const int home = static_cast<int>(record.shard);
-    if (record.spill_shard >= 0 && record.spill_shard != home)
-        --borrows_[record.spill_shard];
-    record.spill_shard = target;
-    if (target >= 0 && target != home)
-        ++borrows_[target];
-    record.spilled = record.spilled || target >= 0;
-    if (!metrics_.empty() && target >= 0) {
-        // Spill/borrow telemetry counts TRANSITIONS onto a target
-        // (the early-return above dedups per-stage re-decisions that
-        // kept the same target): same-shard fan-out on the home
-        // shard, cross-shard borrows on both ends.
-        if (target == home) {
-            metrics_[record.shard].spill_same->add();
-        } else {
-            metrics_[record.shard].borrow_out->add();
-            metrics_[static_cast<unsigned>(target)].borrow_in->add();
-        }
-    }
+    // With fewer requests in flight than threads, whole requests
+    // cannot saturate the shard, so this request fans its block
+    // items out onto the idle slots.
+    const ShardState &st = shards_[record.shard];
+    const bool spill = st.queued + st.running < num_threads_;
+    // The counter counts transitions onto the pool, not per-stage
+    // re-decisions that kept spilling.
+    if (spill && !record.spill && !metrics_.empty())
+        metrics_[record.shard].spill_same->add();
+    record.spill = spill;
+    record.spilled = record.spilled || spill;
 }
 
 std::optional<Scheduler::Job>
@@ -400,7 +351,7 @@ Scheduler::acquire(unsigned shard)
         metrics_[shard]
             .classes[static_cast<unsigned>(record.priority)]
             .wait_us->record(usBetween(record.timing.submitted, now));
-    assignSpillLocked(record, spillShardLocked(shard));
+    refreshSpillLocked(record);
     checkoutLocked(record);
 
     Job job;
@@ -408,14 +359,14 @@ Scheduler::acquire(unsigned shard)
     job.cloud = std::move(record.cloud);
     job.request = record.request;
     job.shard = shard;
-    job.spill_shard = record.spill_shard;
+    job.spill = record.spill;
     job.result = record.result;
     job.workspace = record.workspace;
     return job;
 }
 
 bool
-Scheduler::checkpoint(std::uint64_t id, int *spill_shard)
+Scheduler::checkpoint(std::uint64_t id, bool *spill)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     Record &record = records_.at(id);
@@ -434,16 +385,15 @@ Scheduler::checkpoint(std::uint64_t id, int *spill_shard)
         retireLocked(id, record, RequestState::Expired);
         return false;
     }
-    if (spill_shard != nullptr) {
+    if (spill != nullptr) {
         // Re-evaluate the work-conserving decision from scratch: at
         // a stage boundary every TaskGroup has joined, so no chunk
-        // of this request is in flight anywhere and the target can
-        // change freely. Capacity freed since the last stage — here
-        // or on a neighbor — gets filled; a borrowed neighbor that
-        // received its own work is released; a pool that saturated
-        // stops being fought over.
-        assignSpillLocked(record, spillShardLocked(record.shard));
-        *spill_shard = record.spill_shard;
+        // of this request is in flight and the decision can change
+        // freely. Capacity freed on the shard since the last stage
+        // gets filled; a pool that saturated stops being fought
+        // over.
+        refreshSpillLocked(record);
+        *spill = record.spill;
     }
     return true;
 }

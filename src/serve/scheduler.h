@@ -2,7 +2,7 @@
  * @file
  * The serving scheduler: sharded, priority-aware admission with
  * per-request deadlines, cooperative cancellation, and the
- * work-conserving (cross-shard) spill policy.
+ * work-conserving spill policy.
  *
  * The Scheduler owns no threads — it is the pure bookkeeping core of
  * fc::serve::AsyncPipeline, which pairs it with one ThreadPool per
@@ -62,22 +62,17 @@
  * a class, strict FIFO. A single-class workload (e.g. everything
  * Interactive, the default) degenerates to exactly the PR 2 FIFO.
  *
- * Work-conserving spill, always on: acquire() marks a request
- * with a spill shard when idle capacity exists — its own shard when
- * in-flight requests there number fewer than the shard's threads,
- * else the lowest-indexed FULLY idle other shard. The executor
- * dispatches the request's intra-cloud block items onto that shard's
- * pool instead of running them inline; one busy shard can therefore
- * borrow a drained neighbor's cores. Only idle neighbors are
- * borrowed because pool workers prefer the fork/join (chunk) lane:
- * foreign chunks on a shard with queued requests of its own would
- * run ahead of them — a priority inversion. checkpoint()
- * re-evaluates the target from scratch at every stage boundary
- * (where all of the request's chunks have joined), so borrows end
- * one stage after the neighbor receives its own work, and freed
- * capacity anywhere is filled one stage later. Every block op is
- * deterministic with respect to its pool, so the decision affects
- * wall-clock only, never results.
+ * Work-conserving spill, always on and shard-local: a request fans
+ * its intra-cloud block items out onto its own shard's pool when
+ * that shard has fewer requests in flight (queued plus running) than
+ * threads; otherwise it runs them inline, one cloud per thread. A
+ * request never leaves its shard: its block items run on the same
+ * (pinned) workers that draw on the shard's workspaces. checkpoint()
+ * re-evaluates the decision at every stage boundary (where all of
+ * the request's chunks have joined), so capacity freed on the shard
+ * is filled one stage later. Every block op is deterministic with
+ * respect to its pool, so the decision affects wall-clock only,
+ * never results.
  */
 
 #ifndef FC_SERVE_SCHEDULER_H
@@ -179,8 +174,8 @@ struct RequestOutcome
     unsigned shard = 0;
 
     /** Whether the work-conserving policy spilled this request's
-     *  intra-cloud block items onto a pool (its own shard's or a
-     *  drained neighbor's) for at least one stage. */
+     *  intra-cloud block items onto its shard's pool for at least
+     *  one stage. */
     bool spilled = false;
 };
 
@@ -214,10 +209,9 @@ class Scheduler
          *  executor's shard). */
         unsigned shard = 0;
 
-        /** Shard whose pool should run this request's block items;
-         *  negative = run inline. Equals `shard` for a same-shard
-         *  spill, another index for a cross-shard borrow. */
-        int spill_shard = -1;
+        /** Whether this request's block items go onto its shard's
+         *  pool (true) or run inline (false). */
+        bool spill = false;
 
         /** The result slot to write into. Owned by the scheduler;
          *  valid until the request's terminal transition. Its stale
@@ -241,7 +235,7 @@ class Scheduler
      * @param registry        when non-null, the scheduler registers
      *                        and maintains its serving telemetry
      *                        (per-(shard x class) queue depth, wait
-     *                        and latency histograms, pop/spill/borrow
+     *                        and latency histograms, pop/spill
      *                        and outcome counters, result-slot and
      *                        workspace checkouts and slab sizes) in
      *                        it; must outlive the scheduler
@@ -305,15 +299,14 @@ class Scheduler
      * Returns true to continue; false means the request was just
      * retired (Cancelled or Expired) and the executor must stop.
      *
-     * When continuing and @p spill_shard is non-null, the
-     * work-conserving decision is re-evaluated from scratch into it
-     * (-1 = run inline): a request acquired at saturation starts
-     * spilling once capacity frees up anywhere, a borrowed neighbor
-     * is released once it has work of its own, and a saturated pool
-     * stops being fought over. Safe to change per stage — at a
-     * boundary every chunk of the request has already joined.
+     * When continuing and @p spill is non-null, the work-conserving
+     * decision is re-evaluated from scratch into it: a request
+     * acquired at saturation starts spilling once its shard has idle
+     * threads, and a saturated pool stops being fought over. Safe to
+     * change per stage — at a boundary every chunk of the request
+     * has already joined.
      */
-    bool checkpoint(std::uint64_t id, int *spill_shard = nullptr);
+    bool checkpoint(std::uint64_t id, bool *spill = nullptr);
 
     /**
      * Terminal transition: the request finished, its Job's result
@@ -427,7 +420,7 @@ class Scheduler
         std::exception_ptr exception;
         Priority priority = Priority::Interactive;
         unsigned shard = 0;
-        int spill_shard = -1;   ///< current spill pool (-1 = inline)
+        bool spill = false;     ///< block items on the shard's pool
         bool spilled = false;   ///< spilled for at least one stage
         bool abandoned = false; ///< discard()ed; reclaim on retire
 
@@ -455,7 +448,7 @@ class Scheduler
             timing = RequestTiming{};
             error.clear();
             exception = nullptr;
-            spill_shard = -1;
+            spill = false;
             spilled = false;
             abandoned = false;
             result = nullptr;
@@ -521,8 +514,6 @@ class Scheduler
     {
         std::array<ClassMetrics, kNumPriorities> classes;
         core::metrics::Counter *spill_same = nullptr;
-        core::metrics::Counter *borrow_out = nullptr;
-        core::metrics::Counter *borrow_in = nullptr;
         core::metrics::Counter *outcome_checkout = nullptr;
         core::metrics::Gauge *outcome_created = nullptr;
         core::metrics::Gauge *workspace_created = nullptr;
@@ -536,19 +527,12 @@ class Scheduler
     void retireLocked(std::uint64_t id, Record &record,
                       RequestState state);
 
-    /** Work-conserving target for a request on @p shard (mutex
-     *  held): own shard if it has idle threads, else a FULLY idle
-     *  other shard — the one with the fewest active borrowers,
-     *  lowest index on ties — else -1. Merely under-loaded
-     *  neighbors are never borrowed (see file comment: priority
-     *  inversion). */
-    int spillShardLocked(unsigned shard) const;
-
-    /** Point @p record's spill target at @p target (mutex held),
-     *  keeping the per-shard borrow counters and the ever-spilled
-     *  flag in sync. Every spill_shard transition goes through
-     *  here — acquire, checkpoint, and retirement. */
-    void assignSpillLocked(Record &record, int target);
+    /** Re-evaluate @p record's work-conserving decision (mutex
+     *  held): spill while its shard has fewer requests in flight
+     *  than threads. Keeps the ever-spilled flag and the spill
+     *  counter in sync; acquire and checkpoint both go through
+     *  here. */
+    void refreshSpillLocked(Record &record);
 
     /** Consume a terminal record into @p out (mutex held): a Done
      *  payload is swapped with the result slot's; any other state
@@ -593,12 +577,6 @@ class Scheduler
 
     /** One instrument block per shard; empty without a registry. */
     std::vector<ShardMetrics> metrics_;
-
-    /** Active cross-shard borrowers per shard (requests currently
-     *  spilling their chunks onto it from another shard); spreads
-     *  concurrent borrows over idle shards instead of piling them
-     *  onto the lowest index. */
-    std::vector<std::size_t> borrows_;
 
     std::uint64_t next_id_ = 1;
     std::unordered_map<std::uint64_t, Record> records_;

@@ -8,7 +8,8 @@
  * running its checksum validation on a pool thread — that pass
  * faults every page of the block's sections into the page cache, so
  * by the time the consumer calls get() the zero-copy bind touches
- * only warm memory. The ring is keyed by block ordinal.
+ * only warm memory. get() always yields zero-copy clouds. The ring
+ * is keyed by block ordinal.
  *
  * depth = 0 (or a null pool) degrades to a synchronous reader —
  * the prefetch-off reference the equality tests compare against.
@@ -43,9 +44,6 @@ struct PrefetchOptions
      *  pool with idle capacity); null = synchronous. Must outlive
      *  the prefetcher. */
     core::ThreadPool *pool = nullptr;
-
-    /** How get() materializes clouds. */
-    ReadMode mode = ReadMode::ZeroCopy;
 };
 
 /** Prefetch telemetry counters (racy snapshots, telemetry only). */

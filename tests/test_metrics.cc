@@ -437,6 +437,12 @@ TEST(ServeStats, MixedPriorityRunRendersAccurateCounters)
             tickets.push_back(pipeline.submitShared(
                 cloud, {}, std::nullopt, Priority::Interactive,
                 /*placement_key=*/i + 1));
+            // The first request runs alone (1 in flight < 2 threads),
+            // so it spills whatever the rest of the burst does: a
+            // saturated shard runs requests inline, and a burst's
+            // tail spills only if a peer finishes first.
+            while (i == 0 && !pipeline.poll(tickets.back()))
+                std::this_thread::yield();
             tickets.push_back(pipeline.submitShared(
                 cloud, {}, std::nullopt, Priority::Batch,
                 /*placement_key=*/i + 1));
@@ -508,16 +514,12 @@ TEST(ServeStats, MixedPriorityRunRendersAccurateCounters)
 
         // Work-conserving spill fired: with 2 threads per shard and
         // sequential-ish load, at least one request ran with its
-        // block items spilled (same-shard or borrowed).
+        // block items spilled onto its shard's pool.
         std::int64_t spills = 0;
-        for (unsigned s = 0; s < 2; ++s) {
+        for (unsigned s = 0; s < 2; ++s)
             spills += statValue(
                 stats, "serve.spill_same{shard=" + std::to_string(s) +
                            "}");
-            spills += statValue(
-                stats, "serve.borrow_out{shard=" + std::to_string(s) +
-                           "}");
-        }
         EXPECT_GT(spills, 0);
 
         // Every admitted request was counted on its shard and class.

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "dataset/modelnet.h"
 #include "dataset/s3dis.h"
 #include "nn/network.h"
@@ -110,6 +111,29 @@ TEST(Network, BlockOpsReduceWork)
     const InferenceResult block = net.run(scene, blocked);
     EXPECT_LT(block.op_stats.distance_computations,
               global.op_stats.distance_computations / 2);
+}
+
+TEST(Network, PartitionStatsIncludeDegenerateRetries)
+{
+    // A coincident cluster larger than the block threshold cannot be
+    // split on any axis, so the Fractal partitioner retries on the
+    // others (see Fractal.HandlesCoincidentPoints). Every stage's
+    // retries must reach the aggregate like its other counters.
+    const Network net(pointNet2Classification(), 42);
+    Pcg32 rng(9);
+    data::PointCloud cloud;
+    for (int i = 0; i < 256; ++i)
+        cloud.addPoint({rng.uniform(-1, 1), rng.uniform(-1, 1),
+                        rng.uniform(-1, 1)});
+    for (int i = 0; i < 128; ++i)
+        cloud.addPoint({0.25f, 0.5f, 0.75f});
+
+    BackendOptions fractal;
+    fractal.method = part::Method::Fractal;
+    fractal.threshold = 32;
+    const InferenceResult r = net.run(cloud, fractal);
+    EXPECT_GT(r.partition_stats.num_splits, 0u);
+    EXPECT_GT(r.partition_stats.degenerate_retries, 0u);
 }
 
 TEST(Network, AblationTogglesAreIndependent)

@@ -184,14 +184,14 @@ TEST(Scheduler, SpillPolicyIsWorkConserving)
     for (int i = 0; i < 3; ++i) {
         const auto job = scheduler.acquire();
         ASSERT_TRUE(job);
-        EXPECT_EQ(job->spill_shard, -1) << "request " << i;
+        EXPECT_FALSE(job->spill) << "request " << i;
         scheduler.complete(job->id);
     }
     // 3, 2, 1 in flight: idle slots exist, spill.
     for (int i = 3; i < 6; ++i) {
         const auto job = scheduler.acquire();
         ASSERT_TRUE(job);
-        EXPECT_EQ(job->spill_shard, 0) << "request " << i;
+        EXPECT_TRUE(job->spill) << "request " << i;
         scheduler.complete(job->id);
         EXPECT_TRUE(consume(scheduler, tickets[i]).spilled);
     }
@@ -210,14 +210,14 @@ TEST(Scheduler, CheckpointRefreshesSpillAfterPoolDrains)
             *scheduler.trySubmit(cloud, {}, std::nullopt));
     for (int i = 0; i < 4; ++i) {
         jobs.push_back(*scheduler.acquire());
-        EXPECT_EQ(jobs.back().spill_shard, -1) << "request " << i;
+        EXPECT_FALSE(jobs.back().spill) << "request " << i;
     }
     for (int i = 0; i < 3; ++i)
         scheduler.complete(jobs[i].id);
 
-    int spill_shard = jobs[3].spill_shard;
-    ASSERT_TRUE(scheduler.checkpoint(jobs[3].id, &spill_shard));
-    EXPECT_EQ(spill_shard, 0) << "1 in flight < 4 threads must now spill";
+    bool spill = jobs[3].spill;
+    ASSERT_TRUE(scheduler.checkpoint(jobs[3].id, &spill));
+    EXPECT_TRUE(spill) << "1 in flight < 4 threads must now spill";
     scheduler.complete(jobs[3].id);
     EXPECT_TRUE(consume(scheduler, tickets[3]).spilled);
 }

@@ -5,7 +5,7 @@
  * (byte-identical to the unsharded path at shard counts {1,2,4} x
  * thread counts {1,2,8}), weighted priority aging (no starvation
  * under sustained Interactive load), cancellation of queued
- * low-priority tickets, cross-shard work-conserving spill, and
+ * low-priority tickets, shard-local work-conserving spill, and
  * waitInto's bounded (timeout) form. The CI TSan job runs every
  * suite here that starts a thread (via the Sharded*, Priority*, and
  * WaitFor* filter entries); the ShardMap ring tests start none.
@@ -21,6 +21,7 @@
 #include <mutex>
 #include <vector>
 
+#include "core/metrics.h"
 #include "core/pipeline.h"
 #include "core/shard_map.h"
 #include "dataset/s3dis.h"
@@ -123,6 +124,23 @@ TEST(ShardMap, PlacementIsDeterministicAndBalanced)
     for (unsigned s = 0; s < kShards; ++s) {
         EXPECT_GT(hits[s], kKeys / 20) << "shard " << s << " starved";
         EXPECT_LT(hits[s], kKeys / 2) << "shard " << s << " dominant";
+    }
+}
+
+TEST(ShardMap, SmallKeysReachEveryShard)
+{
+    // Keys hash in a domain of their own: the first ticket ids and
+    // small session keys must spread like any others, not collide
+    // with shard 0's ring points (mix(k) for k < kReplicas is one).
+    for (const unsigned shards : {2u, 4u}) {
+        const core::ShardMap map(shards);
+        std::vector<std::size_t> hits(shards, 0);
+        for (std::uint64_t key = 1; key <= 64; ++key)
+            ++hits[map.shardFor(key)];
+        for (unsigned s = 0; s < shards; ++s)
+            EXPECT_GT(hits[s], 0u)
+                << "shards=" << shards << ": no key in 1..64 on shard "
+                << s;
     }
 }
 
@@ -257,14 +275,17 @@ TEST(ShardedServe, PlacementKeyPinsRequestsToOneShard)
     }
 }
 
-TEST(ShardedServe, CrossShardSpillBorrowsIdleNeighbor)
+TEST(ShardedServe, SpillStaysOnHomeShard)
 {
     // 2 shards x 2 threads at the scheduler level. Shard 0 is
     // saturated (3 requests in flight >= 2 threads) while shard 1 is
-    // fully idle: the acquired request must borrow shard 1's pool
-    // for its block items.
+    // fully idle: the acquired requests must run inline — block
+    // items never leave their shard — and the survivor starts
+    // spilling onto its own pool at a checkpoint once shard 0's
+    // in-flight count drops below its threads.
+    core::metrics::Registry registry;
     Scheduler scheduler(/*queue_capacity=*/16, /*num_threads=*/2,
-                        /*num_shards=*/2);
+                        /*num_shards=*/2, &registry);
     const core::ShardMap map(2);
     const std::uint64_t key0 = keyOnShard(map, 0);
     const auto cloud = sharedScene(64, 311);
@@ -276,26 +297,37 @@ TEST(ShardedServe, CrossShardSpillBorrowsIdleNeighbor)
     EXPECT_EQ(scheduler.queuedCount(0), 3u);
     EXPECT_EQ(scheduler.queuedCount(1), 0u);
 
-    const auto job = scheduler.acquire(0);
-    ASSERT_TRUE(job);
-    EXPECT_EQ(job->shard, 0u);
-    EXPECT_EQ(job->spill_shard, 1)
-        << "idle neighbor shard must be borrowed";
-
-    // Drain the rest: with 2 still in flight on shard 0 (== its
-    // thread count) the second request keeps borrowing shard 1; the
-    // last one, alone on its shard, spills to the home pool.
-    scheduler.complete(job->id);
+    const auto first = scheduler.acquire(0);
+    ASSERT_TRUE(first);
+    EXPECT_EQ(first->shard, 0u);
+    EXPECT_FALSE(first->spill)
+        << "a saturated shard must not spill, idle neighbor or not";
     const auto second = scheduler.acquire(0);
     ASSERT_TRUE(second);
-    EXPECT_EQ(second->spill_shard, 1);
-    scheduler.complete(second->id);
+    EXPECT_FALSE(second->spill);
+
+    // 2 in flight (second running, third queued): still saturated.
+    scheduler.complete(first->id);
+    bool spill = second->spill;
+    ASSERT_TRUE(scheduler.checkpoint(second->id, &spill));
+    EXPECT_FALSE(spill);
     const auto third = scheduler.acquire(0);
     ASSERT_TRUE(third);
-    EXPECT_EQ(third->spill_shard, 0);
+    EXPECT_FALSE(third->spill);
+
+    // 1 in flight < 2 threads: the survivor spills at its next
+    // checkpoint, onto its home shard's pool.
     scheduler.complete(third->id);
-    for (const Ticket t : tickets)
-        EXPECT_TRUE(consume(scheduler, t).spilled);
+    ASSERT_TRUE(scheduler.checkpoint(second->id, &spill));
+    EXPECT_TRUE(spill);
+    EXPECT_EQ(scheduler.queuedCount(1) + scheduler.runningCount(1), 0u);
+    scheduler.complete(second->id);
+
+    EXPECT_FALSE(consume(scheduler, tickets[0]).spilled);
+    EXPECT_TRUE(consume(scheduler, tickets[1]).spilled);
+    EXPECT_FALSE(consume(scheduler, tickets[2]).spilled);
+    EXPECT_EQ(registry.counter("serve.spill_same{shard=0}").value(), 1u);
+    EXPECT_EQ(registry.counter("serve.spill_same{shard=1}").value(), 0u);
 }
 
 TEST(ShardedServe, RunBatchUnchangedByShardedRuntime)
